@@ -28,7 +28,6 @@ import (
 	"testing"
 
 	"bgpsim/internal/bench"
-	"bgpsim/internal/bgp"
 	"bgpsim/internal/profiling"
 )
 
@@ -97,12 +96,10 @@ func run(args []string, out *os.File) error {
 		outPath   = fs.String("out", "", "write results as JSON to this file")
 		checkPath = fs.String("check", "", "compare allocs/op against this baseline JSON and fail on regression")
 		tolerance = fs.Float64("tolerance", 1.10, "with -check: allowed allocs/op ratio over baseline")
-		fullScan  = fs.Bool("fullscan", false, "disable the incremental decision process (pre-PR-5 baseline mode)")
 		prefixes  = fs.Int("prefixes", 0, "override ConvergeMultiPrefix's prefixes-per-AS dimension (0 = suite default)")
 		shards    = fs.Int("shards", 0, "override ConvergeLargeScaleSharded's shard count (0 = suite default)")
 		warm      = fs.Bool("warmstart", false, "run scenario-layer entries warm-started from the snapshot backend's fixpoint (same results, less wall clock)")
 		runs      = fs.Int("runs", 1, "repeat each benchmark this many times; ns_per_op aggregates over all runs and the JSON records per-run min/mean")
-		stormBase = fs.Bool("storm-baseline", false, "disable the storm fast lane (pre-PR-10 baseline: DefaultParams leaves every Storm* toggle off; results are byte-identical, only wall clock moves)")
 	)
 	var prof profiling.Config
 	prof.AddFlags(fs)
@@ -112,8 +109,6 @@ func run(args []string, out *os.File) error {
 	if *runs < 1 {
 		return fmt.Errorf("-runs must be at least 1")
 	}
-	bgp.ForceFullScanDefault = *fullScan
-	bgp.StormBaselineDefault = *stormBase
 	if *prefixes > 0 {
 		bench.MultiPrefixCount = *prefixes
 	}

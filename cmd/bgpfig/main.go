@@ -45,7 +45,6 @@ import (
 	"time"
 
 	"bgpsim"
-	"bgpsim/internal/bgp"
 	"bgpsim/internal/dist"
 	"bgpsim/internal/profiling"
 )
@@ -60,23 +59,21 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("bgpfig", flag.ContinueOnError)
 	var (
-		figID     = fs.String("fig", "all", "figure to regenerate: all, 1..13, or an ablation id")
-		list      = fs.Bool("list", false, "list available experiments and exit")
-		quick     = fs.Bool("quick", false, "reduced scale (60 nodes, 1 trial, coarse axes)")
-		nodes     = fs.Int("nodes", 0, "override node/AS count")
-		trials    = fs.Int("trials", 0, "override trials per data point")
-		seed      = fs.Int64("seed", 0, "override base seed")
-		maxAS     = fs.Int("max-as-size", 0, "override fig13's routers-per-AS cap (paper: 100)")
-		prefixes  = fs.Int("prefixes", 0, "prefixes originated per AS (0 or 1 = the paper's single prefix; 1 must reproduce recorded figures byte-identically)")
-		workers   = fs.Int("workers", 0, "simulation worker pool size (0 = GOMAXPROCS, 1 = serial; same bytes either way)")
-		shards    = fs.Int("shards", 0, "event-loop shards per simulation (0 or 1 = single engine; >= 2 must reproduce recorded figures byte-identically)")
-		shardCC   = fs.Bool("shard-concurrent", false, "with -shards: run shards on concurrent goroutines (deterministic per seed+shards, but NOT byte-identical to recorded figures)")
-		warm      = fs.Bool("warmstart", false, "seed each trial from the snapshot backend's converged fixpoint instead of simulating initial convergence (must reproduce recorded figures byte-identically)")
-		outDir    = fs.String("o", "", "also write each figure to <dir>/<id>.txt")
-		asJSON    = fs.Bool("json", false, "with -o: additionally write <id>.json for plotting tools")
-		quiet     = fs.Bool("q", false, "suppress progress output")
-		fullScan  = fs.Bool("fullscan", false, "disable the incremental decision process (pre-PR-5 baseline; output must be byte-identical)")
-		stormBase = fs.Bool("storm-baseline", false, "disable the storm fast lane (pre-PR-10 baseline; output must be byte-identical)")
+		figID    = fs.String("fig", "all", "figure to regenerate: all, 1..13, or an ablation id")
+		list     = fs.Bool("list", false, "list available experiments and exit")
+		quick    = fs.Bool("quick", false, "reduced scale (60 nodes, 1 trial, coarse axes)")
+		nodes    = fs.Int("nodes", 0, "override node/AS count")
+		trials   = fs.Int("trials", 0, "override trials per data point")
+		seed     = fs.Int64("seed", 0, "override base seed")
+		maxAS    = fs.Int("max-as-size", 0, "override fig13's routers-per-AS cap (paper: 100)")
+		prefixes = fs.Int("prefixes", 0, "prefixes originated per AS (0 or 1 = the paper's single prefix; 1 must reproduce recorded figures byte-identically)")
+		workers  = fs.Int("workers", 0, "simulation worker pool size (0 = GOMAXPROCS, 1 = serial; same bytes either way)")
+		shards   = fs.Int("shards", 0, "event-loop shards per simulation (0 or 1 = single engine; >= 2 must reproduce recorded figures byte-identically)")
+		shardCC  = fs.Bool("shard-concurrent", false, "with -shards: run shards on concurrent goroutines (deterministic per seed+shards, but NOT byte-identical to recorded figures)")
+		warm     = fs.Bool("warmstart", false, "seed each trial from the snapshot backend's converged fixpoint instead of simulating initial convergence (must reproduce recorded figures byte-identically)")
+		outDir   = fs.String("o", "", "also write each figure to <dir>/<id>.txt")
+		asJSON   = fs.Bool("json", false, "with -o: additionally write <id>.json for plotting tools")
+		quiet    = fs.Bool("q", false, "suppress progress output")
 
 		serve    = fs.String("serve", "", "coordinate a distributed run: listen on host:port and hand trial jobs to workers")
 		service  = fs.Bool("service", false, "with -serve: stay up as a long-running service accepting figure and churn submissions over HTTP instead of running -fig")
@@ -89,8 +86,6 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	bgp.ForceFullScanDefault = *fullScan
-	bgp.StormBaselineDefault = *stormBase
 	if err := prof.Start(); err != nil {
 		return err
 	}

@@ -260,10 +260,10 @@ func convergeLargeScaleWarm(b *testing.B) {
 // world of ConvergeLargeScaleWarm with setup — snapshot install, failure
 // scheduling — performed under StopTimer, so ns/op is purely the run
 // from failure injection to quiescence. This is the storm fast lane's
-// headline metric: the fused-dispatch/blocked-skip/coalesced-MRAI/
-// second-best optimizations only touch this window, and here their
-// effect is not diluted by setup cost (compare under -storm-baseline
-// for the before/after; see EXPERIMENTS.md "Storm fast lane").
+// headline metric: fused dispatch, the blocked-skip flush, the
+// coalesced MRAI timers and the second-best cache only touch this
+// window, and here their effect is not diluted by setup cost (see
+// EXPERIMENTS.md "Storm fast lane").
 func stormOnly(b *testing.B) {
 	net, err := experiment.BuildTopologyCached(bgpsim.LargeScale500().Topology, 1)
 	if err != nil {

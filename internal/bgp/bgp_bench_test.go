@@ -27,7 +27,7 @@ func decideBench(b *testing.B, degree int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, ok := decide(rib, 99, peers, alive, nil, nil, 0); !ok {
+		if _, _, _, ok := decide2(rib, 99, peers, alive, nil, nil, 0); !ok {
 			b.Fatal("no route")
 		}
 	}
@@ -57,11 +57,12 @@ func BenchmarkRunDecisionDegree128FullScan(b *testing.B) {
 // exploration traffic takes at high-degree nodes.
 func runDecisionBench(b *testing.B, degree int, fullScan bool) {
 	nw := starNetwork(b, degree)
-	p := DefaultParams()
-	p.ForceFullScan = fullScan
-	sim, err := New(nw, p)
+	sim, err := New(nw, DefaultParams())
 	if err != nil {
 		b.Fatal(err)
+	}
+	if fullScan {
+		forceFullScan(sim)
 	}
 	sim.Start()
 	if err := sim.Run(); err != nil {

@@ -9,12 +9,22 @@ import (
 )
 
 // These tests pin the incremental decision process to the full scan it
-// replaces: with Params.ForceFullScan flipped and nothing else changed,
-// every observable of a run — convergence delay, every collector
-// counter, and every router's final route to every destination — must be
-// identical. The figure pipeline's byte-stability across this PR rests
-// on exactly this equivalence (plus the figure-level check in
-// internal/core and the CI determinism job's dual fig3 regen).
+// replaces: with every router's incremental flag cleared (forceFullScan)
+// and nothing else changed, every observable of a run — convergence
+// delay, every collector counter, and every router's final route to
+// every destination — must be identical. The full scan is the decision
+// process damping runs on, so it stays a live reference.
+
+// forceFullScan puts every router of sim on the full-scan decision
+// process, as damping does: each touched destination is re-ranked by
+// decide2 over the whole Adj-RIB-In, and the best- and second-best
+// caches are never consulted. Reset re-derives the flag, so call it
+// after New or Reset.
+func forceFullScan(sim *Simulator) {
+	for _, r := range sim.routers {
+		r.incremental = false
+	}
+}
 
 // TestIncrementalMatchesFullScanAllVariants runs every scheme variant
 // the simulator pool supports (the reset_test.go seven: fifo, batched,
@@ -38,11 +48,11 @@ func TestIncrementalMatchesFullScanAllVariants(t *testing.T) {
 				}
 				got := digestRun(t, inc, nw, fail)
 
-				p.ForceFullScan = true
 				full, err := New(nw, p)
 				if err != nil {
 					t.Fatalf("%s seed %d: New full-scan: %v", v.name, seed, err)
 				}
+				forceFullScan(full)
 				want := digestRun(t, full, nw, fail)
 				if got.summary != want.summary {
 					t.Errorf("%s seed %d fail %d: incremental diverged from full scan\nfull:\n%s\nincremental:\n%s",
@@ -75,11 +85,11 @@ func TestIncrementalMatchesFullScanPolicy(t *testing.T) {
 		}
 		got := digestRun(t, inc, nw, fail)
 
-		p.ForceFullScan = true
 		full, err := New(nw, p)
 		if err != nil {
 			t.Fatal(err)
 		}
+		forceFullScan(full)
 		want := digestRun(t, full, nw, fail)
 		if got.summary != want.summary {
 			t.Errorf("policy seed %d: incremental diverged from full scan\nfull:\n%s\nincremental:\n%s",
@@ -99,11 +109,12 @@ func TestIncrementalMatchesFullScanRecovery(t *testing.T) {
 	}
 	fail := topology.NearestNodes(nw, topology.GridCenter(nw), 3, nil)
 	run := func(fullScan bool) string {
-		p := equivalenceParams(7, nil)
-		p.ForceFullScan = fullScan
-		sim, err := New(nw, p)
+		sim, err := New(nw, equivalenceParams(7, nil))
 		if err != nil {
 			t.Fatal(err)
+		}
+		if fullScan {
+			forceFullScan(sim)
 		}
 		d := digestRun(t, sim, nw, fail)
 		sim.ScheduleRecovery(sim.Now()+SettleMargin, fail)
@@ -183,18 +194,5 @@ func TestIncrementalFastPathAllocationFree(t *testing.T) {
 	}
 	if r.bestSlot[1] != int16(r.slotOf[1]) {
 		t.Fatalf("bestSlot[1] = %d, want slot of node 1 (%d)", r.bestSlot[1], r.slotOf[1])
-	}
-}
-
-// TestForceFullScanDefaultFlowsThroughDefaultParams pins the plumbing
-// the CI determinism job and the -fullscan flags rely on.
-func TestForceFullScanDefaultFlowsThroughDefaultParams(t *testing.T) {
-	if DefaultParams().ForceFullScan {
-		t.Fatal("ForceFullScan on by default")
-	}
-	ForceFullScanDefault = true
-	defer func() { ForceFullScanDefault = false }()
-	if !DefaultParams().ForceFullScan {
-		t.Fatal("ForceFullScanDefault not picked up by DefaultParams")
 	}
 }

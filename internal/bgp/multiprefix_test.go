@@ -73,11 +73,11 @@ func TestMultiPrefixMatchesFullScanAllVariants(t *testing.T) {
 			}
 			got := digestRun(t, inc, nw, fail)
 
-			p.ForceFullScan = true
 			full, err := New(nw, p)
 			if err != nil {
 				t.Fatalf("%s seed %d: New full-scan: %v", v.name, seed, err)
 			}
+			forceFullScan(full)
 			want := digestRun(t, full, nw, fail)
 			if got.summary != want.summary {
 				t.Errorf("%s seed %d: multi-prefix incremental diverged from full scan\nfull:\n%s\nincremental:\n%s",

@@ -124,16 +124,6 @@ type Params struct {
 	// over this interval to avoid a synchronized start.
 	OriginationSpread time.Duration
 
-	// ForceFullScan disables the incremental decision-process fast path:
-	// every touched destination is re-ranked with a full peer-slot scan,
-	// as if the best-slot cache did not exist. Output is identical either
-	// way (differential tests pin it); the knob exists so tests and the
-	// CI determinism job can regenerate figures in both modes against the
-	// same goldens. Note the fast path already stands down by itself when
-	// flap damping is enabled (suppression decays with time, so a cached
-	// winner cannot be trusted without a rescan).
-	ForceFullScan bool
-
 	// Shards partitions the routers across this many event loops
 	// synchronized by conservative lookahead barriers (see des.Group and
 	// ARCHITECTURE.md "Sharded engine"). 0 or 1 (the default) runs the
@@ -151,43 +141,6 @@ type Params struct {
 	// with Tracer: trace event order is only meaningful under a single
 	// serial schedule.
 	ShardConcurrent bool
-
-	// Storm fast-lane toggles (see ARCHITECTURE.md "Storm fast lane").
-	// All four default to on in DefaultParams (off when
-	// StormBaselineDefault is set — the -storm-baseline flag); each is
-	// independently toggleable so the differential digest tests
-	// (stormpath_test.go) can pin every piece against the baseline path
-	// on its own. Output is byte-identical in every combination.
-
-	// StormFusedDispatch enables fused same-time dispatch in the event
-	// engine (des.Engine.SetFusion): delivery→process chains at the same
-	// instant — zero processing delay or zero link delay configurations —
-	// skip the queue data structure while consuming the same sequence
-	// stream. Single-engine mode only; sharded runs ignore it.
-	StormFusedDispatch bool
-	// StormBlockedSkip skips MRAI-gate-blocked pending destinations in
-	// the advertisement flush: a destination examined and found blocked
-	// is not re-examined until its gate opens or its route changes,
-	// turning the storm's repeated flush passes from O(pending) to
-	// O(newly runnable).
-	StormBlockedSkip bool
-	// StormCoalescedMRAI replaces the per-peer deferred-flush events
-	// with per-peer virtual timers and one real per-router event. Each
-	// virtual timer records the exact (time, sequence) queue key its
-	// per-peer event would occupy — the sequence number is reserved from
-	// the engine (des.Engine.ReserveSeq) at the point the eager path
-	// would allocate a fresh event — and the real event is kept at the
-	// minimum key, firing one peer per pop. The executed schedule is
-	// identical to the per-peer baseline's by construction (see
-	// ARCHITECTURE.md "Storm fast lane").
-	StormCoalescedMRAI bool
-	// StormSecondBest maintains a second-best-slot cache next to the
-	// incremental decision process's best-slot cache, resolving the
-	// storm's dominant update kinds — incumbent withdrawal, worsening of
-	// the incumbent — in O(1) instead of a full peer-slot rescan.
-	// Inactive (like the incremental path itself) under damping or
-	// ForceFullScan.
-	StormSecondBest bool
 
 	// WarmStart replaces the event-driven initial-convergence phase with
 	// the snapshot backend (internal/snapshot): ConvergeAndFail installs
@@ -211,24 +164,6 @@ type Params struct {
 	Tracer trace.Tracer
 }
 
-// ForceFullScanDefault seeds Params.ForceFullScan in DefaultParams. The
-// whole figure pipeline builds its parameters through DefaultParams, so
-// flipping this before a run (the bgpfig/bgpbench -fullscan flag)
-// regenerates figures or benchmarks with the incremental decision path
-// disabled — the hook the CI determinism job uses to byte-compare both
-// modes against the committed goldens. Set it before starting any
-// simulation; it is read once per run at parameter construction and is
-// not synchronized.
-var ForceFullScanDefault bool
-
-// StormBaselineDefault seeds the four Storm* fast-lane toggles in
-// DefaultParams to off, regenerating figures or benchmarks on the
-// pre-fast-lane path — the -storm-baseline flag on bgpfig/bgpbench, and
-// the escape hatch the CI determinism job byte-compares against the
-// default mode. Same contract as ForceFullScanDefault: set before any
-// simulation starts, read once per run at parameter construction.
-var StormBaselineDefault bool
-
 // DefaultParams returns the paper's simulation configuration with a 30 s
 // constant MRAI (the Internet default the paper starts from).
 func DefaultParams() Params {
@@ -240,14 +175,9 @@ func DefaultParams() Params {
 		ProcMax:           30 * time.Millisecond,
 		ExtDelay:          25 * time.Millisecond,
 		IntDelay:          1 * time.Millisecond,
-		JitterTimers:       true,
-		OriginationSpread:  100 * time.Millisecond,
-		ForceFullScan:      ForceFullScanDefault,
-		StormFusedDispatch: !StormBaselineDefault,
-		StormBlockedSkip:   !StormBaselineDefault,
-		StormCoalescedMRAI: !StormBaselineDefault,
-		StormSecondBest:    !StormBaselineDefault,
-		Seed:               1,
+		JitterTimers:      true,
+		OriginationSpread: 100 * time.Millisecond,
+		Seed:              1,
 	}
 }
 

@@ -250,13 +250,17 @@ func (rib *adjRIBIn) destsViaSlot(slot int, buf []ASN) []ASN {
 	return buf
 }
 
-// decide runs the decision process for dest over the candidate routes in
-// the Adj-RIB-In: shortest AS path wins; ties break EBGP-over-IBGP, then
-// lowest peer AS, then lowest peer node ID. Peers are scanned in slot
-// order so the result is deterministic. The slot return identifies the
-// winning peer slot (-1 when no route exists, mirrored by the false
-// final return); router.bestSlot caches it so the incremental decision
-// path can skip this scan entirely.
+// decide2 runs the decision process for dest over the candidate routes
+// in the Adj-RIB-In: shortest AS path wins; ties break EBGP-over-IBGP,
+// then lowest peer AS, then lowest peer node ID. Peers are scanned in
+// slot order so the result is deterministic. Routes suppressed by the
+// damper (nil when damping is off) are not candidates. The slot return
+// identifies the winning peer slot (-1 when no route exists, mirrored by
+// the false final return); router.bestSlot caches it so the incremental
+// decision path can skip this scan entirely. The same pass also ranks
+// the runner-up — the slot the scan would pick if the winner's route
+// vanished — in the secondSlot sentinel encoding: a real slot, or
+// secondNone when fewer than two eligible routes exist.
 //
 // The paper's simulations select routes on path length alone with no
 // policy; the deterministic tie-break stands in for SSFNet's router-ID
@@ -265,41 +269,7 @@ func (rib *adjRIBIn) destsViaSlot(slot int, buf []ASN) []ASN {
 // relationship class first — customer-learned over peer-learned over
 // provider-learned, the standard local-pref assignment — before path
 // length. self is the deciding router's node id.
-func decide(rib *adjRIBIn, dest ASN, peers []Peer, peerAlive []bool, damp *damper,
-	rel *topology.Relationships, self NodeID) (locEntry, int, bool) {
-	best := locEntry{}
-	bestPeer := Peer{}
-	bestClass := 0
-	bestSlot := -1
-	found := false
-	for slot, peer := range peers {
-		if peerAlive != nil && !peerAlive[slot] {
-			continue
-		}
-		ref := rib.getSlotRef(slot, dest)
-		if ref == 0 {
-			continue
-		}
-		if damp != nil && damp.isSuppressed(dest, peer.Node) {
-			continue
-		}
-		cand := locEntry{path: rib.tab.path(ref), ref: ref, from: peer.Node, fromInternal: peer.Internal}
-		class := routeClass(rel, self, peer)
-		if !found || betterRoute(cand, peer, class, best, bestPeer, bestClass) {
-			best, bestPeer, bestClass, bestSlot, found = cand, peer, class, slot, true
-		}
-	}
-	return best, bestSlot, found
-}
-
-// decide2 is decide specialized for the second-best cache (StormSecondBest):
-// one pass over the slots computes both the winner and the runner-up — the
-// slot the same scan would pick if the winner's route vanished. Ranking and
-// eligibility are identical to decide except damping, which must be off
-// (the cache, like the incremental path, stands down under damping). The
-// second return uses the secondSlot sentinel encoding: a real slot, or
-// secondNone when fewer than two eligible routes exist.
-func decide2(rib *adjRIBIn, dest ASN, peers []Peer, peerAlive []bool,
+func decide2(rib *adjRIBIn, dest ASN, peers []Peer, peerAlive []bool, damp *damper,
 	rel *topology.Relationships, self NodeID) (locEntry, int, int16, bool) {
 	best := locEntry{}
 	bestPeer := Peer{}
@@ -316,6 +286,9 @@ func decide2(rib *adjRIBIn, dest ASN, peers []Peer, peerAlive []bool,
 		}
 		ref := rib.getSlotRef(slot, dest)
 		if ref == 0 {
+			continue
+		}
+		if damp != nil && damp.isSuppressed(dest, peer.Node) {
 			continue
 		}
 		cand := locEntry{path: rib.tab.path(ref), ref: ref, from: peer.Node, fromInternal: peer.Internal}

@@ -149,7 +149,7 @@ func TestDecideShortestPathWins(t *testing.T) {
 	rib := ribOver(testPeers(), 100)
 	rib.set(99, 1, Path{10, 40, 99})
 	rib.set(99, 2, Path{20, 99})
-	e, slot, ok := decide(rib, 99, testPeers(), nil, nil, nil, 0)
+	e, slot, _, ok := decide2(rib, 99, testPeers(), nil, nil, nil, 0)
 	if !ok {
 		t.Fatal("no route")
 	}
@@ -162,7 +162,7 @@ func TestDecideEBGPBeatsIBGPAtEqualLength(t *testing.T) {
 	rib := ribOver(testPeers(), 100)
 	rib.set(99, 3, Path{20, 99}) // internal peer
 	rib.set(99, 2, Path{20, 99}) // external peer, same length
-	e, _, ok := decide(rib, 99, testPeers(), nil, nil, nil, 0)
+	e, _, _, ok := decide2(rib, 99, testPeers(), nil, nil, nil, 0)
 	if !ok || e.from != 2 {
 		t.Errorf("winner from %d, want external peer 2", e.from)
 	}
@@ -175,7 +175,7 @@ func TestDecideTieBreaksLowestPeerAS(t *testing.T) {
 	rib := ribOver(testPeers(), 100)
 	rib.set(99, 1, Path{10, 99})
 	rib.set(99, 2, Path{20, 99})
-	e, slot, ok := decide(rib, 99, testPeers(), nil, nil, nil, 0)
+	e, slot, _, ok := decide2(rib, 99, testPeers(), nil, nil, nil, 0)
 	if !ok || e.from != 1 || slot != 0 {
 		t.Errorf("winner from %d slot %d, want peer 1 at slot 0 (AS 10 < AS 20)", e.from, slot)
 	}
@@ -186,7 +186,7 @@ func TestDecideSkipsDeadPeers(t *testing.T) {
 	rib.set(99, 1, Path{10, 99})
 	rib.set(99, 2, Path{20, 30, 99})
 	alive := []bool{false, true, true}
-	e, slot, ok := decide(rib, 99, testPeers(), alive, nil, nil, 0)
+	e, slot, _, ok := decide2(rib, 99, testPeers(), alive, nil, nil, 0)
 	if !ok || e.from != 2 || slot != 1 {
 		t.Errorf("winner from %d slot %d, want 2 at slot 1 (peer 1 dead)", e.from, slot)
 	}
@@ -194,12 +194,12 @@ func TestDecideSkipsDeadPeers(t *testing.T) {
 
 func TestDecideNoRoutes(t *testing.T) {
 	rib := ribOver(testPeers(), 100)
-	if _, slot, ok := decide(rib, 99, testPeers(), nil, nil, nil, 0); ok || slot != -1 {
+	if _, slot, _, ok := decide2(rib, 99, testPeers(), nil, nil, nil, 0); ok || slot != -1 {
 		t.Error("decision on empty RIB returned a route")
 	}
 	rib.set(99, 1, Path{10, 99})
 	alive := []bool{false, false, false}
-	if _, slot, ok := decide(rib, 99, testPeers(), alive, nil, nil, 0); ok || slot != -1 {
+	if _, slot, _, ok := decide2(rib, 99, testPeers(), alive, nil, nil, 0); ok || slot != -1 {
 		t.Error("decision with all peers dead returned a route")
 	}
 }

@@ -68,23 +68,20 @@ type router struct {
 	pending    []bitset     // destinations needing re-advertisement (drained in ascending order)
 	nextSend   []des.Time   // per-peer MRAI gate: announcements allowed at/after this time
 	destGate   [][]des.Time // per-destination gates (PerDestinationMRAI ablation); zero = open
-	flushEv    []*des.Event // scheduled deferred flush per slot (per-slot mode)
 
-	// Storm fast-lane send-path state (see ARCHITECTURE.md "Storm fast
-	// lane"). blocked marks, per slot, pending destinations that tryFlush
+	// Deferred-flush state (see ARCHITECTURE.md "Storm fast lane").
+	// blocked marks, per slot, pending destinations that tryFlush
 	// examined and found MRAI-gate-blocked; they are skipped on later
 	// passes until a gate can have opened (per-peer gate reached, or the
 	// deferred flush fires) or the destination's desired advertisement
 	// may have changed (markPendingAll clears the bit). Columns are
-	// allocated lazily on a slot's first blocked destination. Under
-	// StormCoalescedMRAI the per-slot flushEv events become virtual
-	// timers: flushAt holds each slot's pending retry time (-1 = none)
-	// and flushStamp the engine sequence number reserved when that retry
-	// was recorded — together, the exact (at, seq) key the per-slot
-	// event would occupy in the queue. One real event (coalEv) is kept
-	// at the minimum virtual key (coalAt, coalSeq) and fires one slot
-	// per pop, so the executed schedule is identical to the per-slot
-	// baseline's, event for event.
+	// allocated lazily on a slot's first blocked destination. Each slot's
+	// MRAI retry is a virtual timer: flushAt holds its pending retry time
+	// (-1 = none) and flushStamp the engine sequence number reserved when
+	// that retry was recorded — together, the exact (at, seq) key a
+	// per-slot timer event armed at that moment would occupy in the
+	// queue. One real event (coalEv) is kept at the minimum virtual key
+	// (coalAt, coalSeq) and fires one slot per pop.
 	blocked    []bitset
 	flushAt    []des.Time
 	flushStamp []uint64
@@ -104,10 +101,9 @@ type router struct {
 	// loop (enqueue -> process -> decide -> flush) runs millions of times
 	// per experiment; everything here exists so that steady-state
 	// iterations allocate nothing.
-	proc            procTask    // the single in-flight CPU-completion task
-	flushTasks      []flushTask // per-slot deferred-flush tasks
-	destsScratch    []ASN       // tryFlush's sorted pending-destination list
-	affectedScratch []ASN       // peerDown's sorted affected-destination list
+	proc            procTask // the single in-flight CPU-completion task
+	destsScratch    []ASN    // tryFlush's sorted pending-destination list
+	affectedScratch []ASN    // peerDown's sorted affected-destination list
 	touched         bitset
 	changed         []ASN
 
@@ -134,27 +130,27 @@ type router struct {
 	// from (bestNone = no route, bestSelf = locally originated); it is
 	// maintained on every Loc-RIB mutation, which upholds the invariant
 	// the fast path relies on: with damping disabled, the Loc-RIB always
-	// equals decide(Adj-RIB-In), so bestSlot is exactly the slot a full
+	// equals decide2(Adj-RIB-In), so bestSlot is exactly the slot a full
 	// scan would pick. It doubles as the provenance of the packed Loc-RIB
 	// entry (locEntryAt derives from/fromInternal through it). workSlot
 	// is the within-batch working copy (lazily initialized from bestSlot
 	// on a destination's first touch, tracked by the touched bitset),
 	// advanced by classify as the batch applies; scanNeeded flags
 	// destinations whose outcome cannot be resolved without the full
-	// decide scan. incremental is false under damping (suppression decays
-	// with wall-clock time, invalidating the cache) and under
-	// Params.ForceFullScan. Slot indices are int16: a router with 32k+
-	// peers is far beyond any modeled topology.
+	// decide2 scan. incremental is false under damping (suppression
+	// decays with wall-clock time, invalidating the cache). Slot indices
+	// are int16: a router with 32k+ peers is far beyond any modeled
+	// topology.
 	incremental bool
 	bestSlot    []int16
 	workSlot    []int16
 	scanNeeded  bitset
 
-	// Second-best cache (StormSecondBest; active only alongside the
-	// incremental path). secondSlot caches, per destination, the peer
-	// slot the full decide scan would rank second — exactly the route the
-	// storm's dominant update kinds (incumbent withdrawal, incumbent
-	// worsening) promote, so those resolve in O(1) instead of a rescan.
+	// Second-best cache (allocated only alongside the incremental path).
+	// secondSlot caches, per destination, the peer slot the full scan
+	// would rank second — exactly the route the storm's dominant update
+	// kinds (incumbent withdrawal, incumbent worsening) promote, so those
+	// resolve in O(1) instead of a rescan.
 	// Sentinels: secondNone (known: no runner-up exists), secondInvalid
 	// (unknown: a scan must rebuild it before the fast paths may trust
 	// it). workSecond is the within-batch working copy, initialized from
@@ -162,14 +158,9 @@ type router struct {
 	// Validity invariant: a non-negative entry always names a live slot
 	// whose stored Adj-RIB-In route ranks exactly second in the current
 	// table — every transition that cannot cheaply uphold this writes
-	// secondInvalid instead. Per-run mode flags (set by reset): useSecond
-	// gates this cache, blockedSkip the flush skip set, coalesce the
-	// coalesced MRAI flush.
-	useSecond   bool
-	blockedSkip bool
-	coalesce    bool
-	secondSlot  []int16
-	workSecond  []int16
+	// secondInvalid instead.
+	secondSlot []int16
+	workSecond []int16
 }
 
 // now returns the current simulated time from the router's execution
@@ -217,19 +208,16 @@ func newRouter(id NodeID, as ASN, peers []Peer, sim *Simulator) *router {
 		peerAlive:  make([]bool, len(peers)),
 		slotOf:     make(map[NodeID]int, len(peers)),
 		nextSend:   make([]des.Time, len(peers)),
-		flushEv:    make([]*des.Event, len(peers)),
 		blocked:    make([]bitset, len(peers)),
 		flushAt:    make([]des.Time, len(peers)),
 		flushStamp: make([]uint64, len(peers)),
 		advertised: make([]refSlot, len(peers)),
 		pending:    make([]bitset, len(peers)),
-		flushTasks: make([]flushTask, len(peers)),
 	}
 	r.proc.r = r
 	r.coal.r = r
 	for slot, peer := range peers {
 		r.slotOf[peer.Node] = slot
-		r.flushTasks[slot] = flushTask{r: r, slot: slot}
 	}
 	if n := sim.net.NumNodes(); n <= slotDenseMax {
 		r.slotDense = make([]int16, n)
@@ -306,7 +294,6 @@ func (r *router) reset(p Params, ndests int) {
 	for slot := range r.peers {
 		r.peerAlive[slot] = true
 		r.nextSend[slot] = 0
-		r.flushEv[slot] = nil
 		r.flushAt[slot] = -1
 		r.flushStamp[slot] = 0
 		if bl := r.blocked[slot]; bl != nil {
@@ -345,14 +332,8 @@ func (r *router) reset(p Params, ndests int) {
 	} else {
 		r.damper = nil
 	}
-	r.incremental = r.damper == nil && !p.ForceFullScan
-	r.blockedSkip = p.StormBlockedSkip
-	// Exact in every configuration: virtual timers carry reserved
-	// engine sequence numbers, so equal-time collisions (jittered or
-	// not) resolve exactly as the per-slot events would.
-	r.coalesce = p.StormCoalescedMRAI
-	r.useSecond = r.incremental && p.StormSecondBest
-	if r.useSecond {
+	r.incremental = r.damper == nil
+	if r.incremental {
 		if len(r.secondSlot) != ndests {
 			r.secondSlot = make([]int16, ndests)
 			r.workSecond = make([]int16, ndests)
@@ -412,35 +393,15 @@ func (t *procTask) Run() {
 	t.r.finishProcessing(batch)
 }
 
-// flushTask is the pre-allocated des.Runner for deferred-flush events.
-// Each (router, slot) has at most one armed flush event (guarded by
-// r.flushEv[slot]), so one reusable task per slot replaces a per-arming
-// closure.
-type flushTask struct {
-	r    *router
-	slot int
-}
-
-// Run clears the armed-event marker and retries the flush.
-func (t *flushTask) Run() {
-	r := t.r
-	r.flushEv[t.slot] = nil
-	if bl := r.blocked[t.slot]; bl != nil {
-		bl.clearAll() // the armed gate time arrived: re-examine everything
-	}
-	r.tryFlush(t.slot)
-}
-
-// coalTask is the pre-allocated des.Runner for the coalesced deferred
-// flush (StormCoalescedMRAI): one armed event per router instead of one
-// per (router, slot). Each slot's pending retry is a virtual timer
-// carrying the exact (at, seq) key its per-slot event would occupy —
-// the sequence number is reserved from the engine at the point the
-// per-slot path would have allocated a fresh event — and the real event
-// is always positioned at the minimum virtual key, firing exactly one
-// slot per pop. The executed (at, seq) schedule is therefore identical
-// to the per-slot baseline's by construction: same keys, same
-// interleaving with every other same-time event in the queue.
+// coalTask is the pre-allocated des.Runner for the deferred MRAI flush:
+// one armed event per router instead of one per (router, slot). Each
+// slot's pending retry is a virtual timer carrying the exact (at, seq)
+// key a per-slot timer event would occupy — the sequence number is
+// reserved from the engine at the moment that event would have been
+// scheduled — and the real event is always positioned at the minimum
+// virtual key, firing exactly one slot per pop. Every slot's retry thus
+// runs at its own queue position, interleaved with every other
+// same-time event exactly as an individually scheduled timer would be.
 type coalTask struct {
 	r *router
 }
@@ -475,13 +436,12 @@ func (t *coalTask) Run() {
 	}
 	if at != firedAt || seq != firedSeq {
 		// Stale pop: the minimum slot this event was positioned for was
-		// cleared after arming (peerDown, revive). The per-slot baseline
-		// pops the canceled event as the same no-op. Re-arm at the
-		// surviving minimum.
+		// cleared after arming (peerDown, revive) — a canceled timer, so
+		// a no-op. Re-arm at the surviving minimum.
 		r.armCoalescedAt(at, seq)
 		return
 	}
-	// Live pop: run exactly this slot, exactly as its flushTask would.
+	// Live pop: run exactly this slot's retry.
 	r.flushAt[slot] = -1
 	if bl := r.blocked[slot]; bl != nil {
 		bl.clearAll() // the armed gate time arrived: re-examine everything
@@ -640,9 +600,7 @@ func (r *router) finishProcessing(batch []Update) {
 			// Adj-RIB-In mutation below overwrites the previous route.
 			if !touched.has(u.Dest) {
 				r.workSlot[u.Dest] = r.bestSlot[u.Dest]
-				if r.useSecond {
-					r.workSecond[u.Dest] = r.secondSlot[u.Dest]
-				}
+				r.workSecond[u.Dest] = r.secondSlot[u.Dest]
 			}
 			r.classify(slot, u, looped)
 		}
@@ -697,20 +655,17 @@ func (r *router) finishProcessing(batch []Update) {
 
 // runDecision recomputes the best route for dest with the full peer-slot
 // scan. It returns true when the Loc-RIB entry changed in any way that
-// affects advertisements.
+// affects advertisements. In incremental mode the same scan rebuilds the
+// second-best cache.
 func (r *router) runDecision(dest ASN) bool {
 	old, hadOld := r.locEntryAt(dest)
 	if hadOld && old.isSelf() {
 		return false // locally originated routes are never displaced
 	}
-	if r.useSecond {
-		// One scan rebuilds both caches (decide2 ranks identically to
-		// decide; useSecond implies damping is off).
-		best, slot, second, ok := decide2(r.adjIn, dest, r.peers, r.peerAlive, r.sim.params.Policy, r.id)
+	best, slot, second, ok := decide2(r.adjIn, dest, r.peers, r.peerAlive, r.damper, r.sim.params.Policy, r.id)
+	if r.incremental {
 		r.secondSlot[dest] = second
-		return r.commitDecision(dest, old, hadOld, best, slot, ok)
 	}
-	best, slot, ok := decide(r.adjIn, dest, r.peers, r.peerAlive, r.damper, r.sim.params.Policy, r.id)
 	return r.commitDecision(dest, old, hadOld, best, slot, ok)
 }
 
@@ -724,7 +679,7 @@ func (r *router) runDecision(dest ASN) bool {
 //	(b) an update to a non-best slot that does not beat the working best
 //	    is a no-op for the decision process;
 //	(c) only a withdrawal — or a strict worsening — of the working
-//	    best's own slot forces the full decide scan (scanNeeded).
+//	    best's own slot may force the full scan (scanNeeded).
 //
 // The (a)/(b) split is sound because betterRoute is a strict total order
 // across slots (ties break on peer AS then node ID): a replacement on a
@@ -734,9 +689,9 @@ func (r *router) runDecision(dest ASN) bool {
 // no candidate is ever suppressed and the Loc-RIB invariant (bestSlot ==
 // full-scan winner) holds between batches.
 //
-// With the second-best cache (useSecond), most (c) cases also resolve
-// without a scan: an incumbent withdrawal promotes the cached runner-up
-// (or empties the table when the runner-up is known absent), and an
+// With the second-best cache, most (c) cases also resolve without a
+// scan: an incumbent withdrawal promotes the cached runner-up (or
+// empties the table when the runner-up is known absent), and an
 // incumbent worsening compares the new route against the runner-up
 // directly. The scan remains only when the runner-up is unknown
 // (secondInvalid). See ARCHITECTURE.md "Storm fast lane" for the full
@@ -754,26 +709,23 @@ func (r *router) classify(slot int, u Update, looped bool) {
 		if ws < 0 || int(ws) != slot {
 			// (b) removing a never-best route cannot change the winner —
 			// but the removed route may have been the cached runner-up.
-			if r.useSecond && ws >= 0 && r.workSecond[dest] == int16(slot) {
+			if ws >= 0 && r.workSecond[dest] == int16(slot) {
 				r.workSecond[dest] = secondInvalid
 			}
 			return
 		}
-		// (c) the working best's route went away. With the second-best
-		// cache the storm's dominant case resolves in O(1): the cached
-		// runner-up is exactly what the full scan would now pick (or the
-		// table is known to empty). The new runner-up (the old third) is
-		// unknown either way.
-		if r.useSecond {
-			switch sec := r.workSecond[dest]; {
-			case sec >= 0:
-				r.workSlot[dest] = sec
-				r.workSecond[dest] = secondInvalid
-				return
-			case sec == secondNone:
-				r.workSlot[dest] = bestNone
-				return
-			}
+		// (c) the working best's route went away. The storm's dominant
+		// case resolves in O(1): the cached runner-up is exactly what the
+		// full scan would now pick (or the table is known to empty). The
+		// new runner-up (the old third) is unknown either way.
+		switch sec := r.workSecond[dest]; {
+		case sec >= 0:
+			r.workSlot[dest] = sec
+			r.workSecond[dest] = secondInvalid
+			return
+		case sec == secondNone:
+			r.workSlot[dest] = bestNone
+			return
 		}
 		r.scanNeeded.set(dest)
 		return
@@ -783,9 +735,7 @@ func (r *router) classify(slot int, u Update, looped bool) {
 	class := routeClass(r.sim.params.Policy, r.id, peer)
 	if ws < 0 {
 		r.workSlot[dest] = int16(slot) // first candidate for an empty table
-		if r.useSecond {
-			r.workSecond[dest] = secondNone
-		}
+		r.workSecond[dest] = secondNone
 		return
 	}
 	wref := r.adjIn.getSlotRef(int(ws), dest)
@@ -803,24 +753,22 @@ func (r *router) classify(slot int, u Update, looped bool) {
 		if !betterRoute(prev, peer, class, cand, peer, class) {
 			return
 		}
-		if r.useSecond {
-			switch sec := r.workSecond[dest]; {
-			case sec == secondNone:
-				return // no other route: the worsened incumbent still wins
-			case sec >= 0:
-				if sref := r.adjIn.getSlotRef(int(sec), dest); sref != 0 {
-					sp := r.peers[sec]
-					sentry := locEntry{path: r.tab.path(sref), from: sp.Node, fromInternal: sp.Internal}
-					sclass := routeClass(r.sim.params.Policy, r.id, sp)
-					if betterRoute(cand, peer, class, sentry, sp, sclass) {
-						return // still ahead of the runner-up: keeps winning
-					}
-					// The runner-up overtakes; where the worsened incumbent
-					// now ranks against the old third is unknown.
-					r.workSlot[dest] = sec
-					r.workSecond[dest] = secondInvalid
-					return
+		switch sec := r.workSecond[dest]; {
+		case sec == secondNone:
+			return // no other route: the worsened incumbent still wins
+		case sec >= 0:
+			if sref := r.adjIn.getSlotRef(int(sec), dest); sref != 0 {
+				sp := r.peers[sec]
+				sentry := locEntry{path: r.tab.path(sref), from: sp.Node, fromInternal: sp.Internal}
+				sclass := routeClass(r.sim.params.Policy, r.id, sp)
+				if betterRoute(cand, peer, class, sentry, sp, sclass) {
+					return // still ahead of the runner-up: keeps winning
 				}
+				// The runner-up overtakes; where the worsened incumbent
+				// now ranks against the old third is unknown.
+				r.workSlot[dest] = sec
+				r.workSecond[dest] = secondInvalid
+				return
 			}
 		}
 		r.scanNeeded.set(dest) // (c) the working best's route worsened
@@ -835,16 +783,11 @@ func (r *router) classify(slot int, u Update, looped bool) {
 		// the old runner-up's own route, since the displaced best
 		// outranked that runner-up, which outranked everything else.
 		r.workSlot[dest] = int16(slot)
-		if r.useSecond {
-			r.workSecond[dest] = ws
-		}
+		r.workSecond[dest] = ws
 		return
 	}
 	// (b): does not beat the working best — a decision no-op, but the
 	// candidate may enter, replace, or displace the runner-up.
-	if !r.useSecond {
-		return
-	}
 	switch sec := r.workSecond[dest]; {
 	case sec == secondNone:
 		// Only route besides the best: the candidate is the runner-up.
@@ -882,7 +825,7 @@ func (r *router) classify(slot int, u Update, looped bool) {
 
 // applyWorkingBest resolves a touched destination's decision without
 // scanning the peer slots: when no scan was flagged, classify has
-// maintained workSlot as exactly the slot a full decide scan over the
+// maintained workSlot as exactly the slot a full scan over the
 // final Adj-RIB-In would pick, so the winner is read back directly. The
 // Loc-RIB commit (and all its observable side effects) is shared with
 // runDecision, so the two paths cannot drift.
@@ -893,7 +836,7 @@ func (r *router) applyWorkingBest(dest ASN) bool {
 	}
 	ws := r.workSlot[dest]
 	if ws < 0 {
-		if hadOld && r.useSecond {
+		if hadOld {
 			// classify concluded the table emptied (incumbent withdrawn,
 			// runner-up known absent): commit the removal scan-free.
 			r.secondSlot[dest] = secondNone
@@ -908,11 +851,9 @@ func (r *router) applyWorkingBest(dest ASN) bool {
 	if ref == 0 {
 		return r.runDecision(dest) // defensive: cache out of sync, rescan
 	}
-	if r.useSecond {
-		// Committed even when the winner is unchanged: the batch may have
-		// moved only the runner-up.
-		r.secondSlot[dest] = r.workSecond[dest]
-	}
+	// Committed even when the winner is unchanged: the batch may have
+	// moved only the runner-up.
+	r.secondSlot[dest] = r.workSecond[dest]
 	peer := r.peers[ws]
 	best := locEntry{path: r.tab.path(ref), ref: ref, from: peer.Node, fromInternal: peer.Internal}
 	return r.commitDecision(dest, old, hadOld, best, int(ws), true)
@@ -967,13 +908,11 @@ func (r *router) markPendingAll(dest ASN) {
 			continue
 		}
 		r.pending[slot].set(dest)
-		if r.blockedSkip {
-			// The desired advertisement may have changed — possibly into
-			// a withdrawal, which bypasses the announcement gate — so the
-			// destination must be re-examined even while its gate runs.
-			if bl := r.blocked[slot]; bl != nil {
-				bl.clear(dest)
-			}
+		// The desired advertisement may have changed — possibly into a
+		// withdrawal, which bypasses the announcement gate — so the
+		// destination must be re-examined even while its gate runs.
+		if bl := r.blocked[slot]; bl != nil {
+			bl.clear(dest)
 		}
 		if r.sim.params.CancelOnChange && valid && r.nextSend[slot] > now {
 			r.nextSend[slot] = now
@@ -1006,7 +945,7 @@ func (r *router) tryFlush(slot int) {
 	now := r.now()
 	peerAllowed := now >= r.nextSend[slot]
 
-	// Storm blocked-skip: pending destinations already examined and found
+	// Blocked-skip: pending destinations already examined and found
 	// gate-blocked are skipped until a gate can have opened. With the
 	// per-peer gate (destGate == nil) the opening is detectable right
 	// here (peerAllowed), so the skip set is cleared and the full pending
@@ -1014,10 +953,7 @@ func (r *router) tryFlush(slot int) {
 	// fire clears it — the armed retry time is the minimum of the noted
 	// gate times, so no skipped gate opens before the event. A changed
 	// route clears its destination's bit via markPendingAll.
-	var bl bitset
-	if r.blockedSkip {
-		bl = r.blocked[slot]
-	}
+	bl := r.blocked[slot]
 	var dests []ASN
 	if bl != nil && bl.any() {
 		if r.destGate == nil && peerAllowed {
@@ -1044,13 +980,11 @@ func (r *router) tryFlush(slot int) {
 		if minBlocked < 0 || at < minBlocked {
 			minBlocked = at
 		}
-		if r.blockedSkip {
-			if bl == nil {
-				bl = newBitset(r.ndests)
-				r.blocked[slot] = bl
-			}
-			bl.set(dest)
+		if bl == nil {
+			bl = newBitset(r.ndests)
+			r.blocked[slot] = bl
 		}
+		bl.set(dest)
 	}
 
 	adv := &r.advertised[slot]
@@ -1149,10 +1083,9 @@ func (r *router) nextMRAI(now des.Time) time.Duration {
 	return m
 }
 
-// scheduleFlush arms (or re-arms earlier) the deferred flush for slot.
-// In coalesced mode (StormCoalescedMRAI) the slot's retry time is
-// recorded in flushAt and the single per-router event is armed at the
-// earliest retry over all slots; otherwise a per-slot event is armed.
+// scheduleFlush arms (or re-arms earlier) the deferred flush for slot:
+// the slot's retry time is recorded in flushAt and the single per-router
+// event is armed at the earliest retry over all slots.
 func (r *router) scheduleFlush(slot int, at des.Time) {
 	if at < 0 {
 		return
@@ -1161,26 +1094,15 @@ func (r *router) scheduleFlush(slot int, at des.Time) {
 	if at < now {
 		at = now
 	}
-	if r.coalesce {
-		if cur := r.flushAt[slot]; cur < 0 || at < cur {
-			// Mirror the per-slot re-arm rule below: the recorded retry
-			// only ever moves earlier, and each move reserves the exact
-			// sequence number the per-slot path's fresh event would have
-			// drawn — the virtual timer key (at, seq) is byte-for-byte
-			// the queue key that event would occupy.
-			r.flushAt[slot] = at
-			r.flushStamp[slot] = r.eng.ReserveSeq()
-		}
-		r.armCoalescedAt(r.flushAt[slot], r.flushStamp[slot])
-		return
+	if cur := r.flushAt[slot]; cur < 0 || at < cur {
+		// The recorded retry only ever moves earlier, and each move
+		// reserves a fresh engine sequence number — the virtual timer key
+		// (at, seq) is exactly the queue key a newly scheduled per-slot
+		// event would occupy.
+		r.flushAt[slot] = at
+		r.flushStamp[slot] = r.eng.ReserveSeq()
 	}
-	if ev := r.flushEv[slot]; ev != nil && !ev.Canceled() {
-		if ev.At() <= at {
-			return
-		}
-		r.eng.Cancel(ev)
-	}
-	r.flushEv[slot] = r.eng.ScheduleRunnerAt(at, &r.flushTasks[slot])
+	r.armCoalescedAt(r.flushAt[slot], r.flushStamp[slot])
 }
 
 // send transmits one route-level update to the slot's peer.
@@ -1259,14 +1181,10 @@ func (r *router) desiredAdvert(dest ASN, slot int) (Path, routeRef) {
 // --- failure handling ---------------------------------------------------
 
 // kill removes the router from the simulation: it stops processing,
-// sending, and receiving. Pending events guard on alive.
+// sending, and receiving. Pending events guard on alive; the virtual
+// flush timers are cleared by revive (or reset).
 func (r *router) kill() {
 	r.alive = false
-	for slot, ev := range r.flushEv {
-		r.eng.Cancel(ev)
-		r.flushEv[slot] = nil
-		r.flushAt[slot] = -1
-	}
 	r.eng.Cancel(r.coalEv)
 	r.coalEv = nil
 }
@@ -1304,8 +1222,6 @@ func (r *router) revive() {
 		r.advertised[slot].reset()
 		r.pending[slot].clearAll()
 		r.nextSend[slot] = 0
-		r.eng.Cancel(r.flushEv[slot])
-		r.flushEv[slot] = nil
 		r.flushAt[slot] = -1
 		if bl := r.blocked[slot]; bl != nil {
 			bl.clearAll()
@@ -1350,8 +1266,6 @@ func (r *router) peerDown(slot int) {
 	})
 	r.pending[slot].clearAll()
 	r.advertised[slot].reset()
-	r.eng.Cancel(r.flushEv[slot])
-	r.flushEv[slot] = nil
 	r.flushAt[slot] = -1
 	if bl := r.blocked[slot]; bl != nil {
 		bl.clearAll()
@@ -1363,7 +1277,7 @@ func (r *router) peerDown(slot int) {
 	for _, dest := range affected {
 		r.adjIn.removeSlot(slot, dest)
 		if r.incremental {
-			if r.useSecond && r.secondSlot[dest] == int16(slot) {
+			if r.secondSlot[dest] == int16(slot) {
 				r.secondSlot[dest] = secondInvalid
 			}
 			if r.bestSlot[dest] != int16(slot) {
@@ -1375,32 +1289,30 @@ func (r *router) peerDown(slot int) {
 				// instead of O(affected destinations × degree).
 				continue
 			}
-			if r.useSecond {
-				// Incumbent lost with a usable runner-up cache: commit the
-				// promotion (or the known-empty outcome) without a scan.
-				// The affected list covers every destination routed via
-				// this slot, so a cached runner-up on a *different* slot
-				// is still alive and stored.
-				if sec := r.secondSlot[dest]; sec >= 0 {
-					if ref := r.adjIn.getSlotRef(int(sec), dest); ref != 0 && r.peerAlive[sec] {
-						old, hadOld := r.locEntryAt(dest)
-						p := &r.peers[sec]
-						best := locEntry{path: r.tab.path(ref), ref: ref, from: p.Node, fromInternal: p.Internal}
-						r.secondSlot[dest] = secondInvalid // old third unknown
-						if r.commitDecision(dest, old, hadOld, best, int(sec), true) {
-							r.markPendingAll(dest)
-							anyChanged = true
-						}
-						continue
-					}
-				} else if sec == secondNone {
+			// Incumbent lost with a usable runner-up cache: commit the
+			// promotion (or the known-empty outcome) without a scan. The
+			// affected list covers every destination routed via this
+			// slot, so a cached runner-up on a *different* slot is still
+			// alive and stored.
+			if sec := r.secondSlot[dest]; sec >= 0 {
+				if ref := r.adjIn.getSlotRef(int(sec), dest); ref != 0 && r.peerAlive[sec] {
 					old, hadOld := r.locEntryAt(dest)
-					if r.commitDecision(dest, old, hadOld, locEntry{}, -1, false) {
+					p := &r.peers[sec]
+					best := locEntry{path: r.tab.path(ref), ref: ref, from: p.Node, fromInternal: p.Internal}
+					r.secondSlot[dest] = secondInvalid // old third unknown
+					if r.commitDecision(dest, old, hadOld, best, int(sec), true) {
 						r.markPendingAll(dest)
 						anyChanged = true
 					}
 					continue
 				}
+			} else if sec == secondNone {
+				old, hadOld := r.locEntryAt(dest)
+				if r.commitDecision(dest, old, hadOld, locEntry{}, -1, false) {
+					r.markPendingAll(dest)
+					anyChanged = true
+				}
+				continue
 			}
 		}
 		if r.runDecision(dest) {
@@ -1428,8 +1340,7 @@ func (r *router) normalizeWindow(at des.Time) {
 	for slot := range r.peers {
 		r.nextSend[slot] = 0
 		// All gates just opened: everything skipped as blocked is
-		// sendable at the very next flush pass, exactly as the baseline
-		// path would re-examine it.
+		// sendable at the very next flush pass.
 		if bl := r.blocked[slot]; bl != nil {
 			bl.clearAll()
 		}

@@ -151,19 +151,13 @@ func TestMRAIGatesSecondAnnouncement(t *testing.T) {
 	if _, sent := r1.advertisedPath(slotTo2, 7); sent {
 		t.Fatal("announcement escaped the MRAI gate")
 	}
-	// Coalesced mode records the retry as a virtual timer; the per-slot
-	// baseline arms a real event. Either way the retry must sit at t=m.
-	if r1.coalesce {
-		if at := r1.flushAt[slotTo2]; at != m {
-			t.Fatalf("virtual flush timer at %v, want %v", at, m)
-		}
-	} else {
-		if r1.flushEv[slotTo2] == nil {
-			t.Fatal("no deferred flush scheduled")
-		}
-		if at := r1.flushEv[slotTo2].At(); at != m {
-			t.Fatalf("flush scheduled at %v, want %v", at, m)
-		}
+	// The retry is recorded as the slot's virtual timer, at t=m, and the
+	// router's flush event is armed there.
+	if at := r1.flushAt[slotTo2]; at != m {
+		t.Fatalf("virtual flush timer at %v, want %v", at, m)
+	}
+	if r1.coalEv == nil || r1.coalAt != m {
+		t.Fatalf("flush event armed at %v (event %v), want %v", r1.coalAt, r1.coalEv != nil, m)
 	}
 
 	if err := sim.Run(); err != nil {

@@ -1,42 +1,35 @@
 package core
 
 import (
+	"os"
 	"testing"
-
-	"bgpsim/internal/bgp"
 )
 
-// TestFigureBytesUnchangedByFullScan pins the figure pipeline to the
-// incremental-decision equivalence: rendering the same experiments with
-// bgp.ForceFullScanDefault toggled must produce byte-identical output.
-// This is the in-tree twin of the CI determinism job, which regenerates
-// paper-scale fig3 in both modes and diffs against results/. Beyond
-// fig3, the two ablations cover the configurations where "better route"
-// means something different: Gao–Rexford policy ranking and damping
-// (under which the incremental path disables itself entirely).
+// TestFigureBytesUnchangedByFullScan pins the figure pipeline to renders
+// recorded at commit e44783f (testdata/micro_<id>.golden) on the retired
+// baseline router path — full decision scan, per-peer deferred-flush
+// events, no storm fast lane — each checked byte-equal to that commit's
+// default render before it was written. Beyond fig3, the two ablations
+// cover the configurations where "better route" means something
+// different: Gao–Rexford policy ranking and damping (under which the
+// router runs the full scan).
 func TestFigureBytesUnchangedByFullScan(t *testing.T) {
-	if testing.Short() {
-		t.Skip("dual figure sweep skipped in -short")
-	}
 	for _, id := range []string{"3", "ablation-policy", "ablation-damping"} {
 		e, err := Lookup(id)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Run(id, func(t *testing.T) {
-			render := func(fullScan bool) string {
-				bgp.ForceFullScanDefault = fullScan
-				defer func() { bgp.ForceFullScanDefault = false }()
-				fig, err := e.Run(microOptions())
-				if err != nil {
-					t.Fatal(err)
-				}
-				return fig.Render()
+			want, err := os.ReadFile("testdata/micro_" + id + ".golden")
+			if err != nil {
+				t.Fatal(err)
 			}
-			inc, full := render(false), render(true)
-			if inc != full {
-				t.Errorf("%s: incremental render diverged from full scan\nfull:\n%s\nincremental:\n%s",
-					id, full, inc)
+			fig, err := e.Run(microOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fig.Render(); got != string(want) {
+				t.Errorf("%s: render diverged from the recorded baseline\nwant:\n%s\ngot:\n%s", id, want, got)
 			}
 		})
 	}

@@ -137,12 +137,12 @@ func NewHeapOnlyEngine() *Engine {
 // the queue data structure entirely. The event's (at, seq) stamp — and
 // therefore the execution order of every event — is identical either
 // way; fusion only removes the push/pop cost of the delivery→process
-// chains that zero-delay configurations produce. It is the storm fast
-// lane's engine-level piece (Params.StormFusedDispatch) and must not be
-// enabled on engines driven by a Group: the sharded drivers peek queue
-// keys across engines between events, and the single-engine guarantee
-// ("imm is the engine's next event") does not survive foreign
-// insertions at the barrier.
+// chains that zero-delay configurations produce. The BGP simulator
+// enables it on every single-engine run. It must not be enabled on
+// engines driven by a Group: the sharded drivers peek queue keys across
+// engines between events, and the single-engine guarantee ("imm is the
+// engine's next event") does not survive foreign insertions at the
+// barrier.
 func (e *Engine) SetFusion(on bool) {
 	if !on && e.imm != nil {
 		// Demote the held event into the queue so nothing is lost.

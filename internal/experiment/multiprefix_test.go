@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"os"
 	"testing"
 	"time"
 
@@ -57,23 +58,25 @@ func TestMultiPrefixTrialsWorkerInvariant(t *testing.T) {
 }
 
 // TestMultiPrefixTrialsFullScanInvariant pins the multi-prefix digest
-// across decision modes: disabling the incremental fast path must not
-// change any observable.
+// to testdata/multiprefix_trials.golden, recorded at commit e44783f on
+// the retired baseline router path (full decision scan, per-peer
+// deferred-flush events, no storm fast lane) and checked byte-equal to
+// that commit's default path before it was written.
 func TestMultiPrefixTrialsFullScanInvariant(t *testing.T) {
-	run := func(fullScan bool) string {
-		sc := multiPrefixScenario()
-		base := bgp.DefaultParams()
-		base.MRAI = mrai.Constant(500 * time.Millisecond)
-		base.ForceFullScan = fullScan
-		sc.Base = &base
-		st, err := RunTrials(sc, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return digestStats(st)
+	want, err := os.ReadFile("testdata/multiprefix_trials.golden")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if inc, full := run(false), run(true); inc != full {
-		t.Errorf("multi-prefix trials diverged across decision modes\nfull:\n%s\nincremental:\n%s", full, inc)
+	sc := multiPrefixScenario()
+	base := bgp.DefaultParams()
+	base.MRAI = mrai.Constant(500 * time.Millisecond)
+	sc.Base = &base
+	st, err := RunTrials(sc, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := digestStats(st); got != string(want) {
+		t.Errorf("multi-prefix trials diverged from the recorded baseline\nwant:\n%s\ngot:\n%s", want, got)
 	}
 }
 
