@@ -97,7 +97,6 @@ func run(args []string, out *os.File) error {
 		checkPath = fs.String("check", "", "compare allocs/op against this baseline JSON and fail on regression")
 		tolerance = fs.Float64("tolerance", 1.10, "with -check: allowed allocs/op ratio over baseline")
 		prefixes  = fs.Int("prefixes", 0, "override ConvergeMultiPrefix's prefixes-per-AS dimension (0 = suite default)")
-		shards    = fs.Int("shards", 0, "override ConvergeLargeScaleSharded's shard count (0 = suite default)")
 		warm      = fs.Bool("warmstart", false, "run scenario-layer entries warm-started from the snapshot backend's fixpoint (same results, less wall clock)")
 		runs      = fs.Int("runs", 1, "repeat each benchmark this many times; ns_per_op aggregates over all runs and the JSON records per-run min/mean")
 	)
@@ -111,9 +110,6 @@ func run(args []string, out *os.File) error {
 	}
 	if *prefixes > 0 {
 		bench.MultiPrefixCount = *prefixes
-	}
-	if *shards > 0 {
-		bench.ShardCount = *shards
 	}
 	bench.WarmStart = *warm
 

@@ -68,8 +68,6 @@ func run(args []string) error {
 		maxAS    = fs.Int("max-as-size", 0, "override fig13's routers-per-AS cap (paper: 100)")
 		prefixes = fs.Int("prefixes", 0, "prefixes originated per AS (0 or 1 = the paper's single prefix; 1 must reproduce recorded figures byte-identically)")
 		workers  = fs.Int("workers", 0, "simulation worker pool size (0 = GOMAXPROCS, 1 = serial; same bytes either way)")
-		shards   = fs.Int("shards", 0, "event-loop shards per simulation (0 or 1 = single engine; >= 2 must reproduce recorded figures byte-identically)")
-		shardCC  = fs.Bool("shard-concurrent", false, "with -shards: run shards on concurrent goroutines (deterministic per seed+shards, but NOT byte-identical to recorded figures)")
 		warm     = fs.Bool("warmstart", false, "seed each trial from the snapshot backend's converged fixpoint instead of simulating initial convergence (must reproduce recorded figures byte-identically)")
 		outDir   = fs.String("o", "", "also write each figure to <dir>/<id>.txt")
 		asJSON   = fs.Bool("json", false, "with -o: additionally write <id>.json for plotting tools")
@@ -138,10 +136,6 @@ func run(args []string) error {
 	if *prefixes > 0 {
 		opts.PrefixesPerOrigin = *prefixes
 	}
-	if *shards > 0 {
-		opts.Shards = *shards
-		opts.ShardConcurrent = *shardCC
-	}
 	opts.WarmStart = *warm
 	opts.Workers = *workers
 
@@ -170,7 +164,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		srv := &http.Server{Handler: coord.Handler()}
+		srv := newServer(coord.Handler())
 		go func() {
 			if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
 				fmt.Fprintln(os.Stderr, "bgpfig: coordinator server:", err)
@@ -231,6 +225,21 @@ func run(args []string) error {
 	return nil
 }
 
+// newServer wraps h in the HTTP server both serving modes use. The
+// timeouts bound what a slow or stalled client can hold: headers must
+// arrive within 10 s, a whole request (bodies are capped at 16 MiB by
+// the dist package) within a minute, and an idle keep-alive connection
+// is closed after two minutes. No write timeout is set: no handler long
+// polls, each writes its JSON reply as soon as it has it.
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       time.Minute,
+		IdleTimeout:       2 * time.Minute,
+	}
+}
+
 // runService keeps a coordinator alive as a long-running service:
 // clients submit figure and churn runs over HTTP and the single drain
 // loop executes them in queue order until the process is signaled.
@@ -250,7 +259,7 @@ func runService(ctx context.Context, addr, ckptPath string, leaseTTL time.Durati
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: svc.Handler()}
+	srv := newServer(svc.Handler())
 	go func() {
 		if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
 			fmt.Fprintln(os.Stderr, "bgpfig: service server:", err)

@@ -106,7 +106,6 @@ func Suite() []Entry {
 			// worlds and the entry measures the simulation, not generation.
 			scenarioSeedCyclePhased(b, bgpsim.LargeScale500(), 4)
 		}},
-		{"ConvergeLargeScaleSharded", convergeLargeScaleSharded},
 		{"ConvergeLargeScaleWarm", convergeLargeScaleWarm},
 		{"StormOnly", stormOnly},
 		{"SnapshotConverge500", snapshotConverge500},
@@ -165,7 +164,7 @@ func convergeAndFail(b *testing.B, mutate func(*bgp.Params)) {
 
 // WarmStart flips every scenario-layer entry to snapshot-seeded trials
 // (cmd/bgpbench -warmstart sets it), the same override model as
-// ShardCount and MultiPrefixCount: the entry list stays fixed while the
+// MultiPrefixCount: the entry list stays fixed while the
 // execution mode becomes a command-line dimension. Results are
 // byte-identical either way; only wall clock moves.
 var WarmStart = false
@@ -221,23 +220,6 @@ func scenarioSeedCyclePhased(b *testing.B, sc bgpsim.Scenario, worlds int) {
 	setup, storm := bgp.TakePhaseNs()
 	b.ReportMetric(float64(setup)/float64(b.N), "setup-ns/op")
 	b.ReportMetric(float64(storm)/float64(b.N), "storm-ns/op")
-}
-
-// ShardCount is the shard dimension of the ConvergeLargeScaleSharded
-// entry (cmd/bgpbench -shards overrides it). The entry runs in
-// sequenced mode, so its results are byte-identical to
-// ConvergeLargeScale; what it measures is the overhead the sharded
-// driver adds per event — partitioning, barrier accounting, and
-// cross-shard buffering — which is the cost floor under the concurrent
-// mode's speedup.
-var ShardCount = 4
-
-// convergeLargeScaleSharded is the sharded twin of ConvergeLargeScale:
-// the same 500-AS scenario through ShardCount sequenced shards.
-func convergeLargeScaleSharded(b *testing.B) {
-	sc := bgpsim.LargeScale500()
-	sc.Shards = ShardCount
-	scenarioSeedCycle(b, sc, 4)
 }
 
 // convergeLargeScaleWarm is the warm-started twin of ConvergeLargeScale:

@@ -13,18 +13,15 @@ import (
 // the initial-convergence entry point shared with ConvergeAndFail. All
 // of them reuse the exact machinery of the batch-failure flow —
 // ScheduleFailure/ScheduleRecovery, openWindow/normalizeWindow — so a
-// churn program composes with sharding, prefixes, and warm start by
-// construction.
+// churn program composes with prefixes and warm start by construction.
 
 // ScheduleControl schedules fn as a global control event at absolute
-// time at, on the same engine failures and recoveries run on: the
-// control engine in sharded mode (every shard paused at the event's
-// timestamp) and the main engine otherwise. Control events at equal
-// timestamps execute in the order they were scheduled, which is what
-// lets a churn program order "capture previous window" before "open the
-// next" at the same instant.
+// time at, on the engine failures and recoveries run on. Control events
+// at equal timestamps execute in the order they were scheduled, which is
+// what lets a churn program order "capture previous window" before "open
+// the next" at the same instant.
 func (s *Simulator) ScheduleControl(at des.Time, fn func()) {
-	s.ctrlEng().ScheduleAt(at, fn)
+	s.eng.ScheduleAt(at, fn)
 }
 
 // OpenMeasurementWindow opens the metrics measurement window at time at
@@ -68,10 +65,9 @@ type WindowStats struct {
 // CaptureWindow snapshots the currently open measurement window's
 // counters. Call it from a control event scheduled just before the next
 // perturbation (which reopens the window), or after Run returns to
-// capture the final window. In concurrent sharded mode the per-shard
-// collectors are folded deterministically first (see Collector).
+// capture the final window.
 func (s *Simulator) CaptureWindow() WindowStats {
-	col := s.Collector()
+	col := s.col
 	return WindowStats{
 		Start:         col.WindowStart(),
 		LastActivity:  col.LastActivity(),
@@ -97,7 +93,7 @@ func (s *Simulator) CaptureWindow() WindowStats {
 // OpenMeasurementWindow when the recovery starts a window of its own.
 func (s *Simulator) ScheduleLinkRecovery(at des.Time, links [][2]int) {
 	restored := append([][2]int(nil), links...)
-	s.ctrlEng().ScheduleAt(at, func() {
+	s.eng.ScheduleAt(at, func() {
 		for _, l := range restored {
 			a, b := l[0], l[1]
 			if a < 0 || b < 0 || a >= len(s.routers) || b >= len(s.routers) {

@@ -18,40 +18,33 @@ func forceCompaction(t *testing.T) {
 // TestCompactionBehaviorNeutral pins that the quiescence path-table
 // compaction sweep changes nothing observable: a run that compacts (and
 // renumbers every live ref) produces byte-identical figures and final
-// routes to one that never compacts, in both shared-table modes, and the
-// sweep itself shrinks the table.
+// routes to one that never compacts, and the sweep itself shrinks the
+// table.
 func TestCompactionBehaviorNeutral(t *testing.T) {
 	nw, _ := oracleTopology(t)
 	fail := topology.NearestNodes(nw, topology.GridCenter(nw), 4, nil)
+	p := equivalenceParams(5, nil)
 
-	for _, shards := range []int{1, 4} {
-		p := equivalenceParams(5, nil)
-		p.Shards = shards
+	plain, err := New(nw, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := digestRun(t, plain, nw, fail)
+	if got := plain.PathTableStats(); got.Compactions != 0 {
+		t.Fatalf("compaction triggered below thresholds: %+v", got)
+	}
 
-		plain, err := New(nw, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := digestRun(t, plain, nw, fail)
-		if got := plain.PathTableStats(); got.Compactions != 0 {
-			t.Fatalf("shards=%d: compaction triggered below thresholds: %+v", shards, got)
-		}
-
-		forceCompaction(t)
-		compacted, err := New(nw, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := digestRun(t, compacted, nw, fail)
-		if got.summary != want.summary {
-			t.Errorf("shards=%d: compacted run diverged\nplain:\n%s\ncompacted:\n%s",
-				shards, want.summary, got.summary)
-		}
-		st := compacted.PathTableStats()
-		if st.Compactions != 1 {
-			t.Fatalf("shards=%d: expected exactly one sweep, got %+v", shards, st)
-		}
-		CompactMinPaths, CompactDeadFraction = 1<<16, 0.5
+	forceCompaction(t)
+	compacted, err := New(nw, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := digestRun(t, compacted, nw, fail)
+	if got.summary != want.summary {
+		t.Errorf("compacted run diverged\nplain:\n%s\ncompacted:\n%s", want.summary, got.summary)
+	}
+	if st := compacted.PathTableStats(); st.Compactions != 1 {
+		t.Fatalf("expected exactly one sweep, got %+v", st)
 	}
 }
 

@@ -32,21 +32,11 @@ type router struct {
 	alive bool
 	sim   *Simulator
 
-	// Execution-context indirection, rebound by Simulator.Reset. In the
-	// single-engine mode all of these alias the Simulator's own fields;
-	// in sharded mode eng is the router's shard engine and — in
-	// concurrent mode — col/rng/tab are the shard-local collector,
-	// random stream, and path table (per the sharding contract: shard
-	// handlers touch only shard-local mutable state). grp is set only in
-	// sequenced sharded mode, where the current simulated time lives on
-	// the group driver rather than the (lagging) shard engine clock; see
-	// now.
-	shard int
-	eng   *des.Engine
-	grp   *des.Group
-	col   *metrics.Collector
-	rng   *des.RNG
-	tab   *pathTab
+	// Hot-path aliases of the Simulator's engine, collector and path
+	// table, fixed at newRouter (none of the three is ever replaced).
+	eng *des.Engine
+	col *metrics.Collector
+	tab *pathTab
 
 	peers     []Peer
 	peerAlive []bool
@@ -163,19 +153,8 @@ type router struct {
 	workSecond []int16
 }
 
-// now returns the current simulated time from the router's execution
-// context: the group clock in sequenced sharded mode (the shard engine
-// clocks lag the driver there), the engine clock otherwise — which in
-// concurrent mode is the shard's in-epoch clock, synchronized to the
-// barrier time whenever control events run. Every time read and every
-// relative delay computation in the router goes through here, so the
-// three modes share one code path.
-func (r *router) now() des.Time {
-	if r.grp != nil {
-		return r.grp.Now()
-	}
-	return r.eng.Now()
-}
+// now returns the current simulated time.
+func (r *router) now() des.Time { return r.eng.Now() }
 
 // bestSlot sentinel values (real peer slots are >= 0).
 const (
@@ -204,6 +183,9 @@ func newRouter(id NodeID, as ASN, peers []Peer, sim *Simulator) *router {
 		id:         id,
 		as:         as,
 		sim:        sim,
+		eng:        sim.eng,
+		col:        sim.col,
+		tab:        &sim.tab,
 		peers:      peers,
 		peerAlive:  make([]bool, len(peers)),
 		slotOf:     make(map[NodeID]int, len(peers)),
@@ -225,7 +207,7 @@ func newRouter(id NodeID, as ASN, peers []Peer, sim *Simulator) *router {
 			r.slotDense[peer.Node] = int16(slot) + 1
 		}
 	}
-	r.adjIn = newAdjRIBIn(r.slotOf, &sim.tab, len(peers), 0)
+	r.adjIn = newAdjRIBIn(r.slotOf, r.tab, len(peers), 0)
 	return r
 }
 
@@ -543,7 +525,7 @@ func (r *router) startProcessing() {
 		}
 		var delay time.Duration
 		for range batch {
-			delay += r.rng.UniformDuration(r.sim.params.ProcMin, r.sim.params.ProcMax)
+			delay += r.sim.rng.UniformDuration(r.sim.params.ProcMin, r.sim.params.ProcMax)
 		}
 		r.busy = true
 		r.busyStart = r.now()
@@ -1078,7 +1060,7 @@ func (r *router) nextMRAI(now des.Time) time.Duration {
 		Peer: -1, Dest: -1, Value: int(m),
 	})
 	if r.sim.params.JitterTimers {
-		return r.rng.Jitter(m)
+		return r.sim.rng.Jitter(m)
 	}
 	return m
 }

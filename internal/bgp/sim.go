@@ -45,25 +45,16 @@ type Simulator struct {
 	ndests  int      // dense dest-index table size
 	tracer  trace.Tracer
 
-	// pool is the free list of in-flight message events for the
-	// single-engine path. A delivery is taken here (or allocated) by
-	// deliver, scheduled on the engine, and returned by its own Run, so
-	// steady-state message transmission allocates nothing. The list only
-	// ever grows to the peak number of simultaneously in-flight updates.
-	// Sharded runs use one pool per destination shard (shardRuntime.pools)
-	// instead, so concurrent shard goroutines never share a free list.
-	pool deliveryPool
-
-	// sh holds the sharded execution state when Params.Shards >= 2 and the
-	// topology admits a positive lookahead; nil selects the classic
-	// single-engine path.
-	sh *shardRuntime
+	// freeDeliveries is the free list of in-flight message events. A
+	// delivery is taken here (or allocated) by deliver, scheduled on the
+	// engine, and returned by its own Run, so steady-state message
+	// transmission allocates nothing. The list only ever grows to the
+	// peak number of simultaneously in-flight updates.
+	freeDeliveries *delivery
 
 	// tab interns every path the simulation creates (backed by a bump
 	// arena); all RIB storage holds 4-byte routeRefs into it. Rewound by
 	// Reset once every reference (RIBs, in-flight updates) is gone.
-	// Concurrent sharded runs give each shard its own pathTab instead
-	// (shardRuntime.tabs).
 	tab pathTab
 
 	// pathCompactions counts quiescence compaction sweeps this trial
@@ -74,55 +65,32 @@ type Simulator struct {
 // delivery is the pooled des.Runner carrying one in-flight update from
 // router to router across a link.
 type delivery struct {
-	pool     *deliveryPool
 	next     *delivery // free-list link
 	from, to *router
 	u        Update
 }
 
-// deliveryPool is a free list of delivery events. Each pool is owned by
-// exactly one execution context (the single engine, or one shard), so
-// take/put need no synchronization.
-type deliveryPool struct{ free *delivery }
-
-// take returns a recycled delivery, or a fresh one bound to the pool.
-func (p *deliveryPool) take() *delivery {
-	d := p.free
-	if d != nil {
-		p.free = d.next
-		d.next = nil
-		return d
-	}
-	return &delivery{pool: p}
-}
-
 // deliver schedules u to arrive at to after the link delay, reusing a
-// pooled delivery event when one is free. In sharded mode same-shard
-// messages go straight onto the destination's (== sender's) engine while
-// cross-shard messages are buffered for the next lookahead barrier.
+// pooled delivery event when one is free.
 func (s *Simulator) deliver(from, to *router, delay time.Duration, u Update) {
-	at := from.now() + delay
-	if s.sh != nil {
-		if from.shard != to.shard {
-			s.sh.post(from, to, at, u)
-			return
-		}
-		d := s.sh.pools[to.shard].take()
-		d.from, d.to, d.u = from, to, u
-		to.eng.ScheduleRunnerAt(at, d)
-		return
+	d := s.freeDeliveries
+	if d != nil {
+		s.freeDeliveries = d.next
+		d.next = nil
+	} else {
+		d = &delivery{}
 	}
-	d := s.pool.take()
 	d.from, d.to, d.u = from, to, u
-	s.eng.ScheduleRunnerAt(at, d)
+	s.eng.ScheduleRunnerAt(s.eng.Now()+delay, d)
 }
 
-// Run completes the delivery and returns the object to the pool.
+// Run completes the delivery and returns the object to the free list.
 func (d *delivery) Run() {
 	from, to, u := d.from, d.to, d.u
+	s := from.sim
 	d.from, d.to, d.u = nil, nil, Update{}
-	d.next = d.pool.free
-	d.pool.free = d
+	d.next = s.freeDeliveries
+	s.freeDeliveries = d
 	// The link is down if either endpoint died while in flight.
 	if !from.alive || !to.alive {
 		return
@@ -205,11 +173,6 @@ func (s *Simulator) Reset(params Params) error {
 	// updates and the router resets below clear every RIB reference.
 	s.tab.reset()
 	s.pathCompactions = 0
-	s.setupShards(params)
-	// Fused same-time dispatch is a single-engine optimization: sharded
-	// runs are driven through des.Group, whose barrier accounting the
-	// fusion slot bypasses (see des.Engine.SetFusion).
-	s.eng.SetFusion(s.sh == nil)
 
 	maxAS := 0
 	for id := 0; id < s.net.NumNodes(); id++ {
@@ -242,70 +205,9 @@ func (s *Simulator) Reset(params Params) error {
 			}
 			r.peers[slot].Delay = delay
 		}
-		s.bindContext(r)
 		r.reset(params, s.ndests)
 	}
 	return nil
-}
-
-// setupShards decides the execution mode for this Reset and prepares
-// s.sh: nil for the classic single-engine path (Shards <= 1, more shards
-// than routers wanted than exist, or no positive lookahead), otherwise a
-// ready shardRuntime. The runtime (group, partition, buffers) is reused
-// across Resets whenever the mode triple (k, sequenced, lookahead) is
-// unchanged, mirroring how the single engine retains its free lists.
-func (s *Simulator) setupShards(params Params) {
-	k := params.Shards
-	if k > s.net.NumNodes() {
-		k = s.net.NumNodes()
-	}
-	if k < 2 {
-		s.sh = nil
-		return
-	}
-	sequenced := !params.ShardConcurrent
-	assign := []int(nil)
-	if s.sh != nil && s.sh.g.NumShards() == k {
-		assign = s.sh.assign // partition depends only on (net, k)
-	} else {
-		assign = topology.Partition(s.net, k)
-	}
-	look := shardLookahead(s.net, assign, params)
-	if look <= 0 {
-		s.sh = nil
-		return
-	}
-	if s.sh == nil || s.sh.g.NumShards() != k ||
-		s.sh.g.Sequenced() != sequenced || s.sh.g.Lookahead() != look {
-		s.sh = newShardRuntime(s, k, look, sequenced, assign)
-	}
-	s.sh.reset(s.rng)
-}
-
-// bindContext points one router at its execution context for this run:
-// which engine its events live on, which group clock (if any) it reads,
-// and which collector, random stream, and path table it writes. The
-// single-engine path and sequenced sharding share the Simulator-level
-// col/rng/tab; concurrent sharding substitutes the shard-local replicas
-// the sharding contract requires.
-func (s *Simulator) bindContext(r *router) {
-	if s.sh == nil {
-		r.shard, r.eng, r.grp = 0, s.eng, nil
-		r.col, r.rng, r.tab = s.col, s.rng, &s.tab
-	} else {
-		r.shard = s.sh.assign[r.id]
-		r.eng = s.sh.g.Shard(r.shard)
-		if s.sh.g.Sequenced() {
-			r.grp = s.sh.g
-			r.col, r.rng, r.tab = s.col, s.rng, &s.tab
-		} else {
-			r.grp = nil
-			r.col = s.sh.cols[r.shard]
-			r.rng = s.sh.rngs[r.shard]
-			r.tab = s.sh.tabs[r.shard]
-		}
-	}
-	r.adjIn.tab = r.tab
 }
 
 // ASOfDest returns the AS that originates destination prefix dest.
@@ -324,84 +226,46 @@ func (s *Simulator) Start() {
 			at = s.rng.UniformDuration(0, s.params.OriginationSpread)
 		}
 		id, dest := id, dest
-		// In sharded mode the origination runs on the originating
-		// router's own shard engine; the stagger draw above always comes
-		// from the master RNG, so the single-engine and sequenced runs
-		// consume it identically.
-		s.routers[id].eng.ScheduleAt(at, func() { s.routers[id].originate(dest) })
+		s.eng.ScheduleAt(at, func() { s.routers[id].originate(dest) })
 	}
 }
 
 // Run drains the event queue (to quiescence) and returns any engine error.
 func (s *Simulator) Run() error {
-	if s.sh != nil {
-		return s.sh.g.Run()
-	}
 	return s.eng.Run()
 }
 
 // SetCancel installs (or with nil removes) a cancellation probe on the
-// underlying event engine — or, in sharded mode, on every shard engine
-// and the group driver, so cancellation lands mid-epoch on whichever
-// shard is running rather than waiting for the next barrier. Run
-// variants poll it periodically and abort with des.ErrCanceled when it
-// reports true. Install it after Reset (which clears the probe) and
-// before Run; the probe never alters results of runs that complete,
-// only whether a run completes.
+// underlying event engine. Run variants poll it periodically and abort
+// with des.ErrCanceled when it reports true. Install it after Reset
+// (which clears the probe) and before Run; the probe never alters
+// results of runs that complete, only whether a run completes.
 func (s *Simulator) SetCancel(cancel func() bool) {
-	if s.sh != nil {
-		s.sh.g.SetCancel(cancel)
-		return
-	}
 	s.eng.SetCancel(cancel)
 }
 
 // RunUntil runs events up to the deadline.
 func (s *Simulator) RunUntil(deadline des.Time) error {
-	if s.sh != nil {
-		return s.sh.g.RunUntil(deadline)
-	}
 	return s.eng.RunUntil(deadline)
 }
 
 // Now returns the current simulated time.
-func (s *Simulator) Now() des.Time {
-	if s.sh != nil {
-		return s.sh.g.Now()
-	}
-	return s.eng.Now()
-}
+func (s *Simulator) Now() des.Time { return s.eng.Now() }
 
-// Collector exposes the metrics collector. Concurrent sharded runs
-// maintain one collector per shard; this view folds them into the
-// run-level collector first (a deterministic merge — see
-// metrics.MergeFrom), so callers read the same API in every mode.
-func (s *Simulator) Collector() *metrics.Collector {
-	if s.sh != nil && len(s.sh.cols) > 0 {
-		s.col.MergeFrom(s.sh.cols...)
-	}
-	return s.col
-}
+// Collector exposes the metrics collector.
+func (s *Simulator) Collector() *metrics.Collector { return s.col }
 
-// openWindow opens the measurement window on every collector the run
-// writes to (one in single-engine and sequenced modes, one per shard in
-// concurrent mode).
+// openWindow opens the measurement window on the collector.
 func (s *Simulator) openWindow(at des.Time) {
 	stormProfileOpen() // storm-scoped CPU profile starts with the window
 	s.col.OpenWindow(at)
-	if s.sh != nil {
-		for _, c := range s.sh.cols {
-			c.OpenWindow(at)
-		}
-	}
 }
 
 // normalizeWindow canonicalizes every piece of run state that could
-// carry phase-1 residue into the measurement window: the random streams
-// are reseeded from Params.Seed (per-shard streams re-derived in place
-// in concurrent mode), and every live router expires its MRAI gates,
-// restarts its flap counters, and rebuilds its policy, damper, and load
-// accounting (router.normalizeWindow). It runs at window open in every
+// carry phase-1 residue into the measurement window: the random stream
+// is reseeded from Params.Seed, and every live router expires its MRAI
+// gates, restarts its flap counters, and rebuilds its policy, damper,
+// and load accounting (router.normalizeWindow). It runs at window open in every
 // mode — cold and warm start alike — which makes the post-failure
 // dynamics a pure function of (topology, converged routing state,
 // failure set, parameters, seed). That contract is what lets a
@@ -410,23 +274,9 @@ func (s *Simulator) openWindow(at des.Time) {
 // normalization, identical everything else.
 func (s *Simulator) normalizeWindow(at des.Time) {
 	s.rng.Reseed(s.params.Seed)
-	if s.sh != nil {
-		s.sh.reseed(s.rng)
-	}
 	for _, r := range s.routers {
 		r.normalizeWindow(at)
 	}
-}
-
-// ctrlEng returns the engine global control events (failures,
-// recoveries) run on: the control engine in sharded mode — whose events
-// execute with every shard paused at the event's timestamp — and the
-// main engine otherwise.
-func (s *Simulator) ctrlEng() *des.Engine {
-	if s.sh != nil {
-		return s.sh.g.Control()
-	}
-	return s.eng
 }
 
 // ScheduleFailure kills the given nodes at time at and opens the metrics
@@ -436,7 +286,7 @@ func (s *Simulator) ctrlEng() *des.Engine {
 func (s *Simulator) ScheduleFailure(at des.Time, nodes []int) {
 	failed := append([]int(nil), nodes...)
 	sort.Ints(failed)
-	s.ctrlEng().ScheduleAt(at, func() {
+	s.eng.ScheduleAt(at, func() {
 		s.openWindow(at)
 		s.normalizeWindow(at)
 		for _, id := range failed {
@@ -463,10 +313,7 @@ func (s *Simulator) ScheduleFailure(at des.Time, nodes []int) {
 					continue
 				}
 				if s.params.DetectDelay > 0 {
-					// Absolute time on the surviving peer's own engine:
-					// in sharded mode the detection must run inside nb's
-					// shard, not in control context.
-					nb.eng.ScheduleAt(at+s.params.DetectDelay, func() { nb.peerDown(slot) })
+					s.eng.ScheduleAt(at+s.params.DetectDelay, func() { nb.peerDown(slot) })
 				} else {
 					nb.peerDown(slot)
 				}
@@ -482,7 +329,7 @@ func (s *Simulator) ScheduleFailure(at des.Time, nodes []int) {
 // sessions are ignored. The metrics window opens at the failure time.
 func (s *Simulator) ScheduleLinkFailure(at des.Time, links [][2]int) {
 	cut := append([][2]int(nil), links...)
-	s.ctrlEng().ScheduleAt(at, func() {
+	s.eng.ScheduleAt(at, func() {
 		s.openWindow(at)
 		s.normalizeWindow(at)
 		for _, l := range cut {
@@ -498,7 +345,7 @@ func (s *Simulator) ScheduleLinkFailure(at des.Time, links [][2]int) {
 			}
 			down := func(r *router, slot int) {
 				if s.params.DetectDelay > 0 {
-					r.eng.ScheduleAt(at+s.params.DetectDelay, func() { r.peerDown(slot) })
+					s.eng.ScheduleAt(at+s.params.DetectDelay, func() { r.peerDown(slot) })
 				} else {
 					r.peerDown(slot)
 				}
@@ -517,7 +364,7 @@ func (s *Simulator) ScheduleLinkFailure(at des.Time, links [][2]int) {
 func (s *Simulator) ScheduleRecovery(at des.Time, nodes []int) {
 	revived := append([]int(nil), nodes...)
 	sort.Ints(revived)
-	s.ctrlEng().ScheduleAt(at, func() {
+	s.eng.ScheduleAt(at, func() {
 		// Phase 1: bring the routers back with clean state.
 		for _, id := range revived {
 			if id < 0 || id >= len(s.routers) {
@@ -596,7 +443,7 @@ func (s *Simulator) LocPath(id NodeID, dest ASN) (Path, bool) {
 	if !ok {
 		return nil, false
 	}
-	return s.routers[id].tab.path(ref), true
+	return s.tab.path(ref), true
 }
 
 // Destinations returns the sorted list of originated prefixes. With
@@ -651,21 +498,12 @@ var (
 // PathStats describes the interned-path table footprint.
 type PathStats struct {
 	// Registered counts paths currently registered (since the last Reset
-	// or compaction). Summed over shard tables in concurrent mode.
+	// or compaction).
 	Registered int
-	// Live counts distinct refs reachable from RIB storage. Computed
-	// only in the shared-table modes (single-engine, sequenced); -1 in
-	// concurrent sharded mode, where refs index per-shard tables.
+	// Live counts distinct refs reachable from RIB storage.
 	Live int
 	// Compactions counts the sweeps performed since the last Reset.
 	Compactions int
-}
-
-// sharedTab reports whether every router aliases the Simulator's own
-// path table (single-engine and sequenced sharded modes) — the modes the
-// compaction sweep supports.
-func (s *Simulator) sharedTab() bool {
-	return s.sh == nil || s.sh.g.Sequenced()
 }
 
 // forEachRefCell invokes fn on every occupied routeRef cell in RIB
@@ -705,15 +543,7 @@ func (s *Simulator) forEachRefCell(fn func(*routeRef)) {
 
 // PathTableStats reports the path-table footprint (see PathStats).
 func (s *Simulator) PathTableStats() PathStats {
-	ps := PathStats{Compactions: s.pathCompactions}
-	if !s.sharedTab() {
-		ps.Live = -1
-		for _, tab := range s.sh.tabs {
-			ps.Registered += len(tab.paths)
-		}
-		return ps
-	}
-	ps.Registered = len(s.tab.paths)
+	ps := PathStats{Compactions: s.pathCompactions, Registered: len(s.tab.paths)}
 	seen := make([]bool, len(s.tab.paths)+1)
 	s.forEachRefCell(func(p *routeRef) {
 		if !seen[*p] {
@@ -731,9 +561,6 @@ func (s *Simulator) PathTableStats() PathStats {
 // path the exploration storm interned — is released in one move. The
 // sweep is behavior-neutral: refs are acceleration, not identity.
 func (s *Simulator) maybeCompactPaths() {
-	if !s.sharedTab() {
-		return
-	}
 	total := len(s.tab.paths)
 	if total < CompactMinPaths {
 		return

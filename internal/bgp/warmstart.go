@@ -26,10 +26,10 @@ import (
 //     announced" state a cold run would;
 //   - timers, pending bitsets, inboxes: empty/open, the quiescent state.
 //
-// Path refs are derived per router through a memoized from-chain walk in
-// the router's own path table (per-shard tables in concurrent mode), so
-// all prefixes of one origin AS share the same interned path objects —
-// the same sharing the event-driven run produces.
+// Path refs are derived through a memoized from-chain walk in the
+// simulator's path table, so all prefixes of one origin AS share the
+// same interned path objects — the same sharing the event-driven run
+// produces.
 
 // snapKey identifies a cached snapshot: the topology and policy are
 // compared by pointer, which the experiment layer's topology and
@@ -87,16 +87,7 @@ func (s *Simulator) warmStart() error {
 	if err != nil {
 		return err
 	}
-	// Distinct path tables: one in single-engine and sequenced modes, one
-	// per shard in concurrent mode. Each gets its own from-chain ref memo.
-	var tabs []*pathTab
-	tabIdx := make(map[*pathTab]int)
-	for _, r := range s.routers {
-		if _, ok := tabIdx[r.tab]; !ok {
-			tabIdx[r.tab] = len(tabs)
-			tabs = append(tabs, r.tab)
-		}
-	}
+	tab := &s.tab
 	// The install fills Adj-RIBs-In without maintaining the second-best
 	// cache, so reset's "empty table: no runner-up" state would be a lie
 	// from here on. Unknown is always safe — the first incumbent loss per
@@ -107,26 +98,20 @@ func (s *Simulator) warmStart() error {
 			r.secondSlot[i] = secondInvalid
 		}
 	}
-	n := s.net.NumNodes()
-	memo := make([][]routeRef, len(tabs))
-	for i := range memo {
-		memo[i] = make([]routeRef, n)
-	}
+	memo := make([]routeRef, s.net.NumNodes())
 
 	for _, as := range res.ASes() {
-		for _, m := range memo {
-			for i := range m {
-				m[i] = invalidRef
-			}
+		for i := range memo {
+			memo[i] = invalidRef
 		}
-		// refFor interns node's converged loc path for this AS into table
-		// ti by walking the from-chain: the origin holds the empty path,
-		// internal hops share the upstream path, external hops prepend the
-		// upstream node's AS — precisely how the event-driven run derives
-		// and interns the same paths.
-		var refFor func(ti, node int) routeRef
-		refFor = func(ti, node int) routeRef {
-			if got := memo[ti][node]; got != invalidRef {
+		// refFor interns node's converged loc path for this AS by walking
+		// the from-chain: the origin holds the empty path, internal hops
+		// share the upstream path, external hops prepend the upstream
+		// node's AS — precisely how the event-driven run derives and
+		// interns the same paths.
+		var refFor func(node int) routeRef
+		refFor = func(node int) routeRef {
+			if got := memo[node]; got != invalidRef {
 				return got
 			}
 			var ref routeRef
@@ -134,18 +119,18 @@ func (s *Simulator) warmStart() error {
 			case f == snapshot.FromNone:
 				ref = 0
 			case f == snapshot.FromSelf:
-				ref = tabs[ti].emptyRef
+				ref = tab.emptyRef
 			default:
-				parent := refFor(ti, int(f))
+				parent := refFor(int(f))
 				if parent == 0 {
 					ref = 0 // broken chain: treat as no route (cannot happen at a fixpoint)
 				} else if res.FromInternal(as, node) {
 					ref = parent
 				} else {
-					ref = tabs[ti].prepend(s.net.ASOf(int(f)), parent)
+					ref = tab.prepend(s.net.ASOf(int(f)), parent)
 				}
 			}
-			memo[ti][node] = ref
+			memo[node] = ref
 			return ref
 		}
 
@@ -155,15 +140,14 @@ func (s *Simulator) warmStart() error {
 		}
 		destLo := as * s.nprefix
 		for _, r := range s.routers {
-			ti := tabIdx[r.tab]
 			// Loc-RIB payload and provenance for this router.
 			var locRef routeRef
 			bs := bestNone
 			if r.id == origin {
-				locRef = r.tab.emptyRef
+				locRef = tab.emptyRef
 				bs = bestSelf
 			} else if f := res.From(as, r.id); f >= 0 {
-				locRef = refFor(ti, r.id)
+				locRef = refFor(r.id)
 				slot, ok := r.slotOf[NodeID(f)]
 				if !ok {
 					return fmt.Errorf("bgp: warm start: node %d has no slot for snapshot from-node %d", r.id, f)
@@ -184,9 +168,9 @@ func (s *Simulator) warmStart() error {
 				p := &r.peers[slot]
 				// Inbound: peer q's quiescent advertisement to us.
 				if res.Advertises(as, p.Node, r.id) {
-					inRef := refFor(ti, p.Node)
+					inRef := refFor(p.Node)
 					if inRef != 0 && !p.Internal {
-						inRef = r.tab.prepend(p.AS, inRef)
+						inRef = tab.prepend(p.AS, inRef)
 					}
 					if inRef != 0 {
 						for pi := 0; pi < s.nprefix; pi++ {
@@ -198,7 +182,7 @@ func (s *Simulator) warmStart() error {
 				if locRef != 0 && res.Advertises(as, r.id, p.Node) {
 					advRef := locRef
 					if !p.Internal {
-						advRef = r.tab.prepend(r.as, locRef)
+						advRef = tab.prepend(r.as, locRef)
 					}
 					for pi := 0; pi < s.nprefix; pi++ {
 						r.advertised[slot].set(destLo+pi, advRef, r.ndests)

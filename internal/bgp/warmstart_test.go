@@ -12,9 +12,9 @@ import (
 // The differential oracle: the snapshot backend and the event simulator
 // must agree, route for route and advertisement for advertisement, on
 // the converged (phase-1 quiescent) state — across every scheme variant
-// the figures exercise, multi-prefix tables, both sharded modes, and
-// both policy configurations. Timing schemes change when routes move,
-// never where they settle, so one fixpoint serves them all.
+// the figures exercise, multi-prefix tables, and both policy
+// configurations. Timing schemes change when routes move, never where
+// they settle, so one fixpoint serves them all.
 
 func oracleTopology(t *testing.T) (*topology.Network, *topology.Relationships) {
 	t.Helper()
@@ -93,16 +93,15 @@ func TestSnapshotOracle(t *testing.T) {
 		}
 		for _, v := range resetVariants() {
 			for _, nprefix := range []int{1, 3} {
-				for _, shards := range []int{1, 4} {
-					name := fmt.Sprintf("%s/%s/k%d/shards%d", pc.name, v.name, nprefix, shards)
-					t.Run(name, func(t *testing.T) {
-						p := equivalenceParams(7, v.mutate)
-						p.Policy = pc.pol
-						p.PrefixesPerAS = nprefix
-						p.Shards = shards
-						compareConverged(t, nw, p, res)
-					})
-				}
+				// Every simulation is one event loop; the "shards1" leaf
+				// keeps the case names of the earlier sharded matrix
+				// stable so their history stays comparable.
+				t.Run(fmt.Sprintf("%s/%s/k%d/shards1", pc.name, v.name, nprefix), func(t *testing.T) {
+					p := equivalenceParams(7, v.mutate)
+					p.Policy = pc.pol
+					p.PrefixesPerAS = nprefix
+					compareConverged(t, nw, p, res)
+				})
 			}
 		}
 	}
@@ -171,17 +170,6 @@ func TestWarmStartMatchesCold(t *testing.T) {
 	t.Run("multiprefix", func(t *testing.T) {
 		p := equivalenceParams(3, nil)
 		p.PrefixesPerAS = 3
-		run(t, p)
-	})
-	t.Run("sharded-sequenced", func(t *testing.T) {
-		p := equivalenceParams(3, nil)
-		p.Shards = 4
-		run(t, p)
-	})
-	t.Run("sharded-concurrent", func(t *testing.T) {
-		p := equivalenceParams(3, nil)
-		p.Shards = 4
-		p.ShardConcurrent = true
 		run(t, p)
 	})
 }

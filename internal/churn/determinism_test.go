@@ -2,19 +2,18 @@ package churn
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
 	"bgpsim/internal/topology"
 )
 
-// TestChurnDeterminismMatrix is the run-twice digest pin the PR 9
-// acceptance criteria name: for a fixed (seed, program), the rendered
-// metric stream must be byte-identical across trial worker counts
-// {1, 4} and shard counts {1, 4} (sequenced mode — the byte-identical
-// determinism class; -shard-concurrent remains its own class, exactly
-// as for batch figures). Every cell of the matrix is also run twice to
-// pin run-to-run determinism.
+// TestChurnDeterminismMatrix is the run-twice digest pin: for a fixed
+// (seed, program), the rendered metric stream must be byte-identical
+// across trial worker counts {1, 4}, and every cell is run twice to pin
+// run-to-run determinism. The header keeps its frozen "shards=0" token
+// (see RunResult.Render).
 func TestChurnDeterminismMatrix(t *testing.T) {
 	programs := []Spec{
 		{Kind: PoissonLinkFlap, Rate: 0.1, Duration: 50 * time.Second,
@@ -26,47 +25,34 @@ func TestChurnDeterminismMatrix(t *testing.T) {
 		prog := prog
 		t.Run(string(prog.Kind), func(t *testing.T) {
 			var golden string
-			for _, shards := range []int{1, 4} {
-				for _, workers := range []int{1, 4} {
-					sc := Scenario{
-						Topology: topology.Spec{Kind: topology.KindSkewed7030, N: 30},
-						Scheme:   "mrai=0.5",
-						Program:  prog,
-						Seed:     7,
-						Shards:   shards,
-					}
-					rr, err := Run(context.Background(), sc, 2, workers, nil)
-					if err != nil {
-						t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
-					}
-					got := rr.Render()
-					again, err := Run(context.Background(), sc, 2, workers, nil)
-					if err != nil {
-						t.Fatalf("shards=%d workers=%d rerun: %v", shards, workers, err)
-					}
-					if again.Render() != got {
-						t.Fatalf("shards=%d workers=%d: run-twice stream differs", shards, workers)
-					}
-					// The render embeds shards (an honest header field);
-					// compare the window lines only across shard counts.
-					if golden == "" {
-						golden = stripHeader(got)
-					} else if stripHeader(got) != golden {
-						t.Errorf("shards=%d workers=%d: stream differs from shards=1 workers=1:\n%s\nvs\n%s",
-							shards, workers, stripHeader(got), golden)
-					}
+			for _, workers := range []int{1, 4} {
+				sc := Scenario{
+					Topology: topology.Spec{Kind: topology.KindSkewed7030, N: 30},
+					Scheme:   "mrai=0.5",
+					Program:  prog,
+					Seed:     7,
+				}
+				rr, err := Run(context.Background(), sc, 2, workers, nil)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				got := rr.Render()
+				again, err := Run(context.Background(), sc, 2, workers, nil)
+				if err != nil {
+					t.Fatalf("workers=%d rerun: %v", workers, err)
+				}
+				if again.Render() != got {
+					t.Fatalf("workers=%d: run-twice stream differs", workers)
+				}
+				if header, _, _ := strings.Cut(got, "\n"); !strings.HasSuffix(header, " shards=0") {
+					t.Errorf("header lost its frozen shards=0 token: %q", header)
+				}
+				if golden == "" {
+					golden = got
+				} else if got != golden {
+					t.Errorf("workers=%d: stream differs from workers=1:\n%s\nvs\n%s", workers, got, golden)
 				}
 			}
 		})
 	}
-}
-
-// stripHeader drops the run header line, which names the shard count.
-func stripHeader(s string) string {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			return s[i+1:]
-		}
-	}
-	return s
 }

@@ -4,11 +4,11 @@
 // stream per (seed, spec): Poisson link-flap or node-failure arrival,
 // rolling regional outages sweeping the grid, and flap-then-recover
 // cycles on a single link. The runner injects the stream through the
-// control engine's existing absolute-time failure/recovery path, so
-// churn composes with sharding, multi-prefix tables, and warm start
-// exactly as batch failures do, and every perturbation opens its own
-// measurement window (the PR 8 normalizeWindow canonicalization),
-// yielding a per-event stream of delay/message metrics.
+// simulator's existing absolute-time failure/recovery path, so churn
+// composes with multi-prefix tables and warm start exactly as batch
+// failures do, and every perturbation opens its own measurement window
+// (the normalizeWindow canonicalization), yielding a per-event stream of
+// delay/message metrics.
 package churn
 
 import (

@@ -42,18 +42,6 @@ type Options struct {
 	// (series × x × trial) grid over: <= 0 selects GOMAXPROCS, 1 is
 	// fully serial. Figures are byte-identical for every worker count.
 	Workers int
-	// Shards runs every simulation sharded across this many event loops
-	// (bgp.Params.Shards). 0 and 1 are both the classic single-engine
-	// path — the value 1 is an explicit request that must regenerate the
-	// recorded figures byte-identically, exactly like PrefixesPerOrigin's
-	// normalization — and sequenced sharding (the default for >= 2) is
-	// byte-identical too, which the sharded determinism CI job pins.
-	Shards int
-	// ShardConcurrent selects the concurrent sharded mode. It changes
-	// the determinism class (figures are reproducible per seed and shard
-	// count but differ from the recorded single-engine figures), so it
-	// never participates in golden comparisons.
-	ShardConcurrent bool
 	// WarmStart replaces each trial's event-driven initial-convergence
 	// phase with the snapshot backend's fixpoint
 	// (experiment.Scenario.WarmStart): trials begin at failure injection.
@@ -142,8 +130,6 @@ func (o Options) ctx() context.Context {
 // grids through here, which is what lets a coordinator intercept the
 // whole figure pipeline without the figure definitions knowing.
 func (o Options) sweep(cfg experiment.SweepConfig) (experiment.Figure, error) {
-	cfg.Shards = o.shards()
-	cfg.ShardConcurrent = o.ShardConcurrent && cfg.Shards > 0
 	cfg.WarmStart = o.WarmStart
 	if o.Sweeper != nil {
 		return o.Sweeper(cfg)
@@ -173,17 +159,6 @@ func (o Options) prefixes() int {
 		return 0
 	}
 	return o.PrefixesPerOrigin
-}
-
-// shards resolves the shard dimension, normalizing the explicit
-// single-shard request (1) to the zero default so a run that says
-// "-shards 1" builds exactly the scenarios — and the figure bytes — of
-// a run that never mentioned sharding.
-func (o Options) shards() int {
-	if o.Shards <= 1 {
-		return 0
-	}
-	return o.Shards
 }
 
 // Experiment is a runnable reproduction of one paper figure (or one

@@ -82,21 +82,19 @@ func (e *Event) Canceled() bool { return e.stopped }
 type Engine struct {
 	now       Time
 	seq       uint64
-	seqSrc    *uint64 // shared sequence counter (sharded sequenced mode); nil = own seq
 	queue     calendarQueue
 	free      []*Event // recycled Event objects (see Event)
 	processed uint64
 	maxEvents uint64
 	cancel    func() bool // polled every cancelStride events; nil = never
 
-	// Fused same-time dispatch (SetFusion). imm holds at most one event
-	// scheduled for the current instant that provably sorts before every
-	// queued event: it is the engine's next event, held outside the queue
-	// so the schedule→pop round trip through the calendar/heap structure
-	// is skipped. The event still receives its normal sequence stamp at
-	// alloc time — fusion reserves the seq stream, it never reorders it —
-	// so the (at, seq) total order over executed events is byte-identical
-	// with fusion on or off. See alloc for the admission condition.
+	// Fused same-time dispatch (see NewEngine). imm holds at most one
+	// event scheduled for the current instant that provably sorts before
+	// every queued event: it is the engine's next event, held outside the
+	// queue. The event still receives its normal sequence stamp at alloc
+	// time — fusion reserves the seq stream, it never reorders it. See
+	// alloc for the admission condition. The constructors set fuse; tests
+	// clear it to get the plain queued engine as a reference.
 	imm  *Event
 	fuse bool
 }
@@ -113,9 +111,15 @@ const DefaultMaxEvents = 200_000_000
 
 // NewEngine returns an engine with the clock at the epoch. The event
 // queue is a calendar queue (see calendar.go); pop order is provably
-// identical to NewHeapOnlyEngine's pure heap.
+// identical to NewHeapOnlyEngine's pure heap. Fused same-time dispatch
+// is on: an event scheduled for the current instant while no
+// earlier-or-equal event is queued is held in a one-slot fast lane and
+// executed next, bypassing the queue data structure. Its (at, seq) stamp
+// — and therefore the execution order of every event — is the same as
+// on the plain queued path; fusion only removes the push/pop cost of the
+// delivery→process chains that zero-delay configurations produce.
 func NewEngine() *Engine {
-	e := &Engine{maxEvents: DefaultMaxEvents}
+	e := &Engine{maxEvents: DefaultMaxEvents, fuse: true}
 	e.queue.init(false)
 	return e
 }
@@ -126,31 +130,9 @@ func NewEngine() *Engine {
 // way — so this exists purely as the comparison baseline for the
 // calendar queue's differential tests and benchmarks.
 func NewHeapOnlyEngine() *Engine {
-	e := &Engine{maxEvents: DefaultMaxEvents}
+	e := &Engine{maxEvents: DefaultMaxEvents, fuse: true}
 	e.queue.init(true)
 	return e
-}
-
-// SetFusion enables (or disables) fused same-time dispatch: an event
-// scheduled for the current instant while no earlier-or-equal event is
-// queued is held in a one-slot fast lane and executed next, bypassing
-// the queue data structure entirely. The event's (at, seq) stamp — and
-// therefore the execution order of every event — is identical either
-// way; fusion only removes the push/pop cost of the delivery→process
-// chains that zero-delay configurations produce. The BGP simulator
-// enables it on every single-engine run. It must not be enabled on
-// engines driven by a Group: the sharded drivers peek queue keys across
-// engines between events, and the single-engine guarantee ("imm is the
-// engine's next event") does not survive foreign insertions at the
-// barrier.
-func (e *Engine) SetFusion(on bool) {
-	if !on && e.imm != nil {
-		// Demote the held event into the queue so nothing is lost.
-		ev := e.imm
-		e.imm = nil
-		e.queue.Push(ev)
-	}
-	e.fuse = on
 }
 
 // SetMaxEvents overrides the runaway-loop guard. A value of zero restores
@@ -264,10 +246,6 @@ func (e *Engine) ScheduleRunnerAt(at Time, r Runner) *Event {
 // exactly the same points either way, every event in the run (virtual
 // or not) carries the same stamp as in the eager schedule.
 func (e *Engine) ReserveSeq() uint64 {
-	if e.seqSrc != nil {
-		*e.seqSrc++
-		return *e.seqSrc
-	}
 	e.seq++
 	return e.seq
 }
@@ -275,12 +253,12 @@ func (e *Engine) ReserveSeq() uint64 {
 // ScheduleRunnerAtSeq queues r at absolute time at under a previously
 // reserved sequence number (ReserveSeq) instead of drawing a fresh one.
 // The event sorts into the queue exactly where an event allocated at
-// reservation time would have: it is the single-engine analogue of the
-// Group's PostForeign. Scheduling in the past panics, as ScheduleAt
-// does. The fused fast lane is bypassed — a reserved stamp is generally
-// not the current maximum, so the "this event pops next" proof behind
-// fusion does not apply; if the fused slot holds a later key than the
-// reserved one, it is demoted to the queue to keep the pop order exact.
+// reservation time would have. Scheduling in the past panics, as
+// ScheduleAt does. The fused fast lane is bypassed — a reserved stamp is
+// generally not the current maximum, so the "this event pops next" proof
+// behind fusion does not apply; if the fused slot holds a later key than
+// the reserved one, it is demoted to the queue to keep the pop order
+// exact.
 func (e *Engine) ScheduleRunnerAtSeq(at Time, seq uint64, r Runner) *Event {
 	if r == nil {
 		panic("des: schedule nil runner")
@@ -299,23 +277,13 @@ func (e *Engine) ScheduleRunnerAtSeq(at Time, seq uint64, r Runner) *Event {
 
 // alloc takes an Event from the free list (or heap-allocates one), stamps
 // it with (at, next sequence number), and queues it. The handler fields are
-// left for the caller to fill in. When a shared sequence source is
-// installed (sharded sequenced mode, see Group) the stamp is drawn from it,
-// so schedule calls across all engines of a group consume one global
-// sequence stream in call order — the property that makes the sequenced
-// sharded schedule reproduce the single-engine (at, seq) order exactly.
+// left for the caller to fill in.
 func (e *Engine) alloc(at Time) *Event {
 	if at < e.now {
 		panic(fmt.Sprintf("des: schedule at %v before now %v", at, e.now))
 	}
-	var seq uint64
-	if e.seqSrc != nil {
-		*e.seqSrc++
-		seq = *e.seqSrc
-	} else {
-		e.seq++
-		seq = e.seq
-	}
+	e.seq++
+	seq := e.seq
 	// Fused dispatch: an event at the current instant whose (at, seq) key
 	// is provably the queue minimum skips the queue. Admission requires
 	// the fast-lane slot to be empty and no queued event at <= at — a new
@@ -341,8 +309,8 @@ func (e *Engine) alloc(at Time) *Event {
 }
 
 // insert queues a recycled-or-new Event stamped (at, seq). It is the common
-// tail of alloc and the Group's foreign-insertion path, which re-queues a
-// cross-shard delivery under the sequence number reserved at send time.
+// tail of alloc and ScheduleRunnerAtSeq, which queues a virtual timer under
+// the sequence number reserved for it earlier.
 func (e *Engine) insert(at Time, seq uint64) *Event {
 	var ev *Event
 	if n := len(e.free); n > 0 {
@@ -471,43 +439,4 @@ func (e *Engine) RunUntil(deadline Time) error {
 		e.now = deadline
 	}
 	return nil
-}
-
-// RunBefore fires events with timestamps strictly before deadline, then
-// advances the clock to deadline. It is the per-shard epoch step of the
-// sharded engine (see Group): a shard may safely execute everything before
-// the epoch boundary because conservative lookahead guarantees no
-// cross-shard arrival lands inside the epoch, and the final clock advance
-// synchronizes the shard with the barrier so handlers run from the barrier
-// (control events, cross-shard insertions) observe a current clock.
-func (e *Engine) RunBefore(deadline Time) error {
-	start := e.processed
-	for {
-		next := e.peekNext()
-		if next == nil || next.at >= deadline {
-			break
-		}
-		if e.processed-start >= e.maxEvents {
-			return ErrHorizon
-		}
-		if e.cancel != nil && e.processed%cancelStride == 0 && e.cancel() {
-			return ErrCanceled
-		}
-		e.Step()
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
-	return nil
-}
-
-// NextKey reports the (time, sequence) key of the engine's next live event,
-// draining any canceled events queued ahead of it. ok is false when the
-// queue holds no live events. The sharded drivers use it to find the global
-// minimum across engines without popping.
-func (e *Engine) NextKey() (at Time, seq uint64, ok bool) {
-	if ev := e.peekNext(); ev != nil {
-		return ev.at, ev.seq, true
-	}
-	return 0, 0, false
 }

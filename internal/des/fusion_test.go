@@ -5,18 +5,19 @@ import (
 	"testing"
 )
 
-// These tests pin the fused same-time dispatch (SetFusion) to the plain
-// queued engine: the execution schedule — which handlers run, at what
-// clock, in what order — must be identical with fusion on or off, for
-// workloads heavy in the zero-delay chains fusion accelerates, with
-// cancellations and nested scheduling mixed in.
+// These tests pin the fused same-time dispatch (on in every NewEngine) to
+// the plain queued engine, obtained by clearing the unexported fuse
+// flag: the execution schedule — which handlers run, at what clock, in
+// what order — must be identical with fusion on or off, for workloads
+// heavy in the zero-delay chains fusion accelerates, with cancellations
+// and nested scheduling mixed in.
 
 // fusionTrace runs a deterministic self-scheduling workload and records
 // the (label, now) execution order.
 func fusionTrace(t *testing.T, fuse bool) []string {
 	t.Helper()
 	e := NewEngine()
-	e.SetFusion(fuse)
+	e.fuse = fuse
 	rng := NewRNG(42)
 	var out []string
 	note := func(label string) { out = append(out, fmt.Sprintf("%s@%d", label, e.Now())) }
@@ -68,12 +69,12 @@ func TestFusionPreservesExecutionOrder(t *testing.T) {
 func TestFusionReservesSeqStream(t *testing.T) {
 	key := func(fuse bool) string {
 		e := NewEngine()
-		e.SetFusion(fuse)
+		e.fuse = fuse
 		e.Schedule(0, func() {}) // fused candidate
 		e.Schedule(0, func() {}) // blocked (slot occupied)
 		e.Schedule(1, func() {})
-		at, seq, ok := e.NextKey()
-		return fmt.Sprintf("%v/%d/%v/pending=%d", at, seq, ok, e.Pending())
+		next := e.peekNext()
+		return fmt.Sprintf("%v/%d/pending=%d", next.at, next.seq, e.Pending())
 	}
 	if plain, fused := key(false), key(true); plain != fused {
 		t.Fatalf("next key differs: plain %s, fused %s", plain, fused)
@@ -85,7 +86,6 @@ func TestFusionReservesSeqStream(t *testing.T) {
 // earlier-or-equal is queued.
 func TestFusionAdmission(t *testing.T) {
 	e := NewEngine()
-	e.SetFusion(true)
 	e.Schedule(0, func() {})
 	if e.imm == nil {
 		t.Fatal("first zero-delay event not fused")
@@ -107,25 +107,4 @@ func TestFusionAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// SetFusion(false) demotes a held event into the queue.
-	e.SetFusion(true)
-	e.Schedule(0, func() {})
-	if e.imm == nil {
-		t.Fatal("expected fused event")
-	}
-	e.SetFusion(false)
-	if e.imm != nil || e.queue.Len() != 1 {
-		t.Fatalf("SetFusion(false) should demote the held event: imm=%v queue=%d", e.imm, e.queue.Len())
-	}
-	fired := 0
-	// The demoted event's handler was already installed; count executions
-	// via Processed instead.
-	before := e.Processed()
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	fired = int(e.Processed() - before)
-	if fired != 1 {
-		t.Fatalf("demoted event fired %d times, want 1", fired)
-	}
 }

@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -460,10 +461,25 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	reply(w, c.Stats())
 }
 
-// decode parses a JSON request body, replying 400 on failure.
+// maxBodyBytes bounds every request body the coordinator and service
+// decode. The largest body the package tests and the churn service
+// benchmark send is a churn completion of 4,768 bytes; a churn trial at
+// the program cap (10,000 arrivals, two windows each at ~200 bytes)
+// completes in about 4 MB. 16 MiB leaves headroom above both while
+// keeping a buggy or hostile client from making the coordinator buffer
+// an unbounded body.
+const maxBodyBytes = 16 << 20
+
+// decode parses a JSON request body, replying 413 when it exceeds
+// maxBodyBytes and 400 on any other failure.
 func decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		http.Error(w, "dist: bad request: "+err.Error(), http.StatusBadRequest)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "dist: bad request: "+err.Error(), code)
 		return false
 	}
 	return true

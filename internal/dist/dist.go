@@ -92,14 +92,6 @@ type Options struct {
 	// omitempty keeps the wire form of single-prefix runs identical to
 	// coordinators that predate the field.
 	PrefixesPerOrigin int `json:"prefixes_per_origin,omitempty"`
-	// Shards is the sharded-execution dimension (0 = single engine).
-	// It crosses the wire — unlike Workers — because ShardConcurrent
-	// changes result bytes, and even sequenced sharding must run
-	// identically on every worker for the determinism cross-checks to
-	// mean anything. omitempty keeps unsharded wire forms identical to
-	// coordinators that predate the fields.
-	Shards          int  `json:"shards,omitempty"`
-	ShardConcurrent bool `json:"shard_concurrent,omitempty"`
 	// WarmStart selects snapshot-seeded trials (0 events before the
 	// failure window). It crosses the wire so every worker runs the cell
 	// the same way — results are byte-identical either way, but the
@@ -122,8 +114,6 @@ func WireOptions(o core.Options) Options {
 		MRAIs:              o.MRAIs,
 		RealisticMaxASSize: o.RealisticMaxASSize,
 		PrefixesPerOrigin:  o.PrefixesPerOrigin,
-		Shards:             o.Shards,
-		ShardConcurrent:    o.ShardConcurrent,
 		WarmStart:          o.WarmStart,
 	}
 }
@@ -138,8 +128,6 @@ func (o Options) Core() core.Options {
 		MRAIs:              o.MRAIs,
 		RealisticMaxASSize: o.RealisticMaxASSize,
 		PrefixesPerOrigin:  o.PrefixesPerOrigin,
-		Shards:             o.Shards,
-		ShardConcurrent:    o.ShardConcurrent,
 		WarmStart:          o.WarmStart,
 	}
 }

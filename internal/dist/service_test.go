@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -143,8 +144,8 @@ func TestServiceRejectsBadSubmissions(t *testing.T) {
 	bad := []SubmitRequest{
 		{}, // neither experiment nor churn
 		{Experiment: "no-such-experiment"},
-		{Experiment: "fig3", Churn: &ChurnDesc{}}, // both
-		{Churn: &ChurnDesc{Scenario: testChurnScenario()}},                                    // zero trials
+		{Experiment: "fig3", Churn: &ChurnDesc{}},                                                // both
+		{Churn: &ChurnDesc{Scenario: testChurnScenario()}},                                       // zero trials
 		{Churn: &ChurnDesc{Scenario: churn.Scenario{Program: churn.Spec{Kind: "x"}}, Trials: 1}}, // bad program
 	}
 	for i, req := range bad {
@@ -154,5 +155,37 @@ func TestServiceRejectsBadSubmissions(t *testing.T) {
 	}
 	if code := getJSON(t, svc.Handler(), "/v1/query?id=99", nil); code != http.StatusNotFound {
 		t.Errorf("query of unknown id: HTTP %d, want 404", code)
+	}
+}
+
+// fill is an endless reader of one repeated byte.
+type fill byte
+
+func (f fill) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(f)
+	}
+	return len(p), nil
+}
+
+// TestServiceRejectsOversizedBody: a submission body past maxBodyBytes
+// is refused with 413 after reading at most the limit, and the service
+// keeps answering afterwards.
+func TestServiceRejectsOversizedBody(t *testing.T) {
+	coord, err := NewCoordinator(CoordinatorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewService(coord, nil).Handler()
+	body := io.MultiReader(strings.NewReader(`{"experiment":"`), io.LimitReader(fill('a'), maxBodyBytes))
+	r := httptest.NewRequest(http.MethodPost, "/v1/submit", body)
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, r)
+	if w.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized submit: HTTP %d, want 413", w.Code)
+	}
+	var st StatusResponse
+	if code := getJSON(t, h, "/v1/status", &st); code != http.StatusOK {
+		t.Fatalf("status after oversized submit: HTTP %d, want 200", code)
 	}
 }

@@ -22,10 +22,6 @@ import (
 func CellScenario(cfg SweepConfig, si, xi int) Scenario {
 	sc := cfg.Cell(si, cfg.Xs[xi])
 	sc.Seed = cellSeed(sc.Seed, si, xi, cfg.SameWorldAcrossSeries)
-	if cfg.Shards > 0 && sc.Shards == 0 {
-		sc.Shards = cfg.Shards
-		sc.ShardConcurrent = cfg.ShardConcurrent
-	}
 	if cfg.WarmStart {
 		sc.WarmStart = true
 	}

@@ -109,14 +109,6 @@ type Scenario struct {
 	// relationships (full valley-free reachability guaranteed). Takes
 	// precedence over PolicyRatio.
 	PolicyHierarchical bool
-	// Shards, when >= 2, runs the simulation sharded across that many
-	// event loops (bgp.Params.Shards). Sequenced sharding — the default —
-	// leaves every result byte-identical to the single-engine run, so
-	// Shards <= 1 and Shards == 0 are the same scenario. ShardConcurrent
-	// selects the concurrent mode, which is its own determinism class
-	// (see bgp.Params.ShardConcurrent).
-	Shards          int
-	ShardConcurrent bool
 	// WarmStart skips the event-driven initial-convergence phase: the
 	// snapshot backend's fixpoint is installed as the converged state and
 	// the trial proceeds straight to failure injection
@@ -181,10 +173,6 @@ func runScenario(ctx context.Context, sc Scenario, pool *simPool) (Result, error
 	}
 	if sc.Scheme.Apply != nil {
 		sc.Scheme.Apply(&params)
-	}
-	if sc.Shards > 0 {
-		params.Shards = sc.Shards
-		params.ShardConcurrent = sc.ShardConcurrent
 	}
 	if sc.WarmStart {
 		params.WarmStart = true

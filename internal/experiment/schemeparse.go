@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -56,10 +57,17 @@ func ParseScheme(s string) (Scheme, error) {
 	}
 }
 
+// parseSchemeSeconds parses a non-negative seconds value that fits a
+// time.Duration. NaN, infinities and values past ~292 years are refused:
+// converting them to a Duration yields math.MinInt64, which would
+// silently run as MRAI 0.
 func parseSchemeSeconds(s string) (time.Duration, error) {
 	v, err := strconv.ParseFloat(s, 64)
-	if err != nil || v < 0 {
+	ns := v * float64(time.Second)
+	// The negated comparison is also true for NaN; float64(MaxInt64)
+	// rounds up to 2^63, the first value that no longer converts.
+	if err != nil || v < 0 || !(ns < float64(math.MaxInt64)) {
 		return 0, fmt.Errorf("bad seconds value %q", s)
 	}
-	return time.Duration(v * float64(time.Second)), nil
+	return time.Duration(ns), nil
 }
