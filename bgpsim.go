@@ -192,8 +192,7 @@ func CustomScheme(name string, apply func(*Params)) Scheme {
 // Internet-like heavy-tailed topology at 500 ASes, a 10% geographic
 // failure, and the paper's dynamic MRAI ladder. At this size the
 // highest-degree routers peer with dozens of neighbors, which is what
-// the incremental decision process and the calendar event queue are
-// sized for.
+// the incremental decision process is sized for.
 func LargeScale500() Scenario {
 	return Scenario{
 		Topology: InternetLike(500),

@@ -73,9 +73,8 @@ type Result struct {
 	NsPerOpMin  float64 `json:"ns_per_op_min,omitempty"`
 	NsPerOpMean float64 `json:"ns_per_op_mean,omitempty"`
 	// Extra carries the benchmark's custom metrics (b.ReportMetric),
-	// iteration-weighted across runs — notably the phase split
-	// "setup-ns/op"/"storm-ns/op" of the large-scale entries and
-	// "windows/op" of ChurnStep.
+	// iteration-weighted across runs — notably "windows/op" of
+	// ChurnStep.
 	Extra map[string]float64 `json:"extra,omitempty"`
 }
 
@@ -96,8 +95,6 @@ func run(args []string, out *os.File) error {
 		outPath   = fs.String("out", "", "write results as JSON to this file")
 		checkPath = fs.String("check", "", "compare allocs/op against this baseline JSON and fail on regression")
 		tolerance = fs.Float64("tolerance", 1.10, "with -check: allowed allocs/op ratio over baseline")
-		prefixes  = fs.Int("prefixes", 0, "override ConvergeMultiPrefix's prefixes-per-AS dimension (0 = suite default)")
-		warm      = fs.Bool("warmstart", false, "run scenario-layer entries warm-started from the snapshot backend's fixpoint (same results, less wall clock)")
 		runs      = fs.Int("runs", 1, "repeat each benchmark this many times; ns_per_op aggregates over all runs and the JSON records per-run min/mean")
 	)
 	var prof profiling.Config
@@ -108,11 +105,6 @@ func run(args []string, out *os.File) error {
 	if *runs < 1 {
 		return fmt.Errorf("-runs must be at least 1")
 	}
-	if *prefixes > 0 {
-		bench.MultiPrefixCount = *prefixes
-	}
-	bench.WarmStart = *warm
-
 	if *list {
 		for _, e := range bench.Suite() {
 			fmt.Fprintln(out, e.Name)

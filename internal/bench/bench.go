@@ -104,7 +104,7 @@ func Suite() []Entry {
 			// The PR-5 scale target: 500 ASes through the incremental
 			// decision process. Seed-cycled so the topology memo serves the
 			// worlds and the entry measures the simulation, not generation.
-			scenarioSeedCyclePhased(b, bgpsim.LargeScale500(), 4)
+			scenarioSeedCycle(b, bgpsim.LargeScale500(), 4)
 		}},
 		{"ConvergeLargeScaleWarm", convergeLargeScaleWarm},
 		{"StormOnly", stormOnly},
@@ -114,9 +114,7 @@ func Suite() []Entry {
 		{"TopologyCacheHit", topologyCacheHit},
 		{"TopologyCacheMiss", topologyCacheMiss},
 		{"DESHeapPushPop", desHeapPushPop},
-		{"DESCalendarPushPop", desCalendarPushPop},
 		{"DESHeapMRAIHorizon", desHeapMRAIHorizon},
-		{"DESCalendarMRAIHorizon", desCalendarMRAIHorizon},
 		{"DistDispatch", distDispatch},
 		{"ChurnStep", churnStep},
 	}
@@ -162,19 +160,11 @@ func convergeAndFail(b *testing.B, mutate func(*bgp.Params)) {
 	}
 }
 
-// WarmStart flips every scenario-layer entry to snapshot-seeded trials
-// (cmd/bgpbench -warmstart sets it), the same override model as
-// MultiPrefixCount: the entry list stays fixed while the
-// execution mode becomes a command-line dimension. Results are
-// byte-identical either way; only wall clock moves.
-var WarmStart = false
-
 // scenario is the body behind the Scenario* entries: one scenario-layer
 // run (topology generation included) per iteration, fresh seed each time.
 func scenario(b *testing.B, sc bgpsim.Scenario) {
 	b.Helper()
 	b.ReportAllocs()
-	sc.WarmStart = sc.WarmStart || WarmStart
 	for i := 0; i < b.N; i++ {
 		sc.Seed = int64(1 + i)
 		if _, err := bgpsim.Run(sc); err != nil {
@@ -189,37 +179,12 @@ func scenario(b *testing.B, sc bgpsim.Scenario) {
 func scenarioSeedCycle(b *testing.B, sc bgpsim.Scenario, worlds int) {
 	b.Helper()
 	b.ReportAllocs()
-	sc.WarmStart = sc.WarmStart || WarmStart
 	for i := 0; i < b.N; i++ {
 		sc.Seed = int64(1 + i%worlds)
 		if _, err := bgpsim.Run(sc); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-// scenarioSeedCyclePhased is scenarioSeedCycle plus the phase split: the
-// simulator's setup/storm wall-clock counters (bgp.TakePhaseNs) are
-// drained around the timed loop and reported as setup-ns/op and
-// storm-ns/op, so the aggregate ns/op decomposes into the
-// initial-convergence phase and the post-failure exploration storm.
-// cmd/bgpbench carries both through to the JSON trajectory.
-func scenarioSeedCyclePhased(b *testing.B, sc bgpsim.Scenario, worlds int) {
-	b.Helper()
-	b.ReportAllocs()
-	sc.WarmStart = sc.WarmStart || WarmStart
-	bgp.TakePhaseNs() // drop residue from earlier entries or warm-up laps
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sc.Seed = int64(1 + i%worlds)
-		if _, err := bgpsim.Run(sc); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	setup, storm := bgp.TakePhaseNs()
-	b.ReportMetric(float64(setup)/float64(b.N), "setup-ns/op")
-	b.ReportMetric(float64(storm)/float64(b.N), "storm-ns/op")
 }
 
 // convergeLargeScaleWarm is the warm-started twin of ConvergeLargeScale:
@@ -235,7 +200,7 @@ func scenarioSeedCyclePhased(b *testing.B, sc bgpsim.Scenario, worlds int) {
 func convergeLargeScaleWarm(b *testing.B) {
 	sc := bgpsim.LargeScale500()
 	sc.WarmStart = true
-	scenarioSeedCyclePhased(b, sc, 4)
+	scenarioSeedCycle(b, sc, 4)
 }
 
 // stormOnly isolates the post-failure exploration storm: the 500-AS
@@ -301,23 +266,23 @@ func snapshotConverge500(b *testing.B) {
 	}
 }
 
-// MultiPrefixCount is the prefix dimension of the ConvergeMultiPrefix
-// entry (cmd/bgpbench -prefixes overrides it). The default keeps the
-// entry at benchmark-friendly wall clock while the destination table —
-// 60 ASes × 50 prefixes = 3000 dense dests — is large enough that the
-// entry's bytes/op tracks the compact route encoding: interned path
-// refs shared across all 50 prefixes of an origin, and per-peer columns
-// materialized only for peers that advertise. The full-scale twin
+// multiPrefixCount is the prefix dimension of the ConvergeMultiPrefix
+// entry. It keeps the entry at benchmark-friendly wall clock while the
+// destination table — 60 ASes × 50 prefixes = 3000 dense dests — is
+// large enough that the entry's bytes/op tracks the compact route
+// encoding: interned path refs shared across all 50 prefixes of an
+// origin, and per-peer columns materialized only for peers that
+// advertise. The full-scale twin
 // (bgpsim.LargeScaleMultiPrefix, 500 ASes × 1000 prefixes) runs behind
 // the BGPSIM_LARGE test gate, not here.
-var MultiPrefixCount = 50
+const multiPrefixCount = 50
 
 // convergeMultiPrefix is the PR-6 table-scale entry: the same
 // converge-fail-reconverge shape as the Scenario entries with every AS
-// originating MultiPrefixCount prefixes.
+// originating multiPrefixCount prefixes.
 func convergeMultiPrefix(b *testing.B) {
 	scenarioSeedCycle(b, bgpsim.Scenario{
-		Topology: bgpsim.MultiPrefix(bgpsim.Skewed7030(60), MultiPrefixCount),
+		Topology: bgpsim.MultiPrefix(bgpsim.Skewed7030(60), multiPrefixCount),
 		Failure:  bgpsim.GeographicFailure(0.10),
 		Scheme:   bgpsim.BatchedDynamic(),
 	}, 4)
@@ -483,33 +448,20 @@ func protocolRoundTrip(h http.Handler, path string, req, resp any) error {
 	return json.Unmarshal(rec.Body.Bytes(), resp)
 }
 
-// desHeapPushPop measures the plain 4-ary heap event queue at the
+// desHeapPushPop measures the engine's 4-ary heap event queue at the
 // occupancy a 500-AS simulation sustains (~4096 outstanding events):
-// one iteration schedules and drains the full queue through a
-// heap-only engine. Baseline for DESCalendarPushPop.
+// one iteration schedules and drains the full queue.
 func desHeapPushPop(b *testing.B) {
-	desQueueBench(b, des.NewHeapOnlyEngine, desUniformDelays())
+	desQueueBench(b, desUniformDelays())
 }
 
-// desCalendarPushPop is the same workload through the default engine,
-// whose calendar queue buckets short-horizon events.
-func desCalendarPushPop(b *testing.B) {
-	desQueueBench(b, des.NewEngine, desUniformDelays())
-}
-
-// desCalendarMRAIHorizon compares the queues on the distribution BGP
-// runs actually produce: MRAI timer delays clustered in 0.5–2.25s,
-// which land within the calendar ring's horizon.
-func desCalendarMRAIHorizon(b *testing.B) {
-	desQueueBench(b, des.NewEngine, desMRAIDelays())
-}
-
+// desHeapMRAIHorizon is the same through the distribution BGP runs
+// actually produce: MRAI timer delays clustered in 0.5–2.25s.
 func desHeapMRAIHorizon(b *testing.B) {
-	desQueueBench(b, des.NewHeapOnlyEngine, desMRAIDelays())
+	desQueueBench(b, desMRAIDelays())
 }
 
-// desUniformDelays spreads 4096 events over 1ms — heavy same-bucket
-// collisions for the calendar ring.
+// desUniformDelays spreads 4096 events uniformly over 1ms.
 func desUniformDelays() []des.Time {
 	const events = 4096
 	rng := des.NewRNG(7)
@@ -532,11 +484,11 @@ func desMRAIDelays() []des.Time {
 	return delays
 }
 
-func desQueueBench(b *testing.B, newEngine func() *des.Engine, delays []des.Time) {
+func desQueueBench(b *testing.B, delays []des.Time) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng := newEngine()
+		eng := des.NewEngine()
 		for _, d := range delays {
 			eng.Schedule(d, func() {})
 		}

@@ -12,7 +12,7 @@ import (
 // scheduling, explicit measurement-window management, link recovery, and
 // the initial-convergence entry point shared with ConvergeAndFail. All
 // of them reuse the exact machinery of the batch-failure flow —
-// ScheduleFailure/ScheduleRecovery, openWindow/normalizeWindow — so a
+// ScheduleFailure/ScheduleRecovery, col.OpenWindow/normalizeWindow — so a
 // churn program composes with prefixes and warm start by construction.
 
 // ScheduleControl schedules fn as a global control event at absolute
@@ -31,7 +31,7 @@ func (s *Simulator) ScheduleControl(at des.Time, fn func()) {
 // ScheduleControl); churn programs call it before perturbations that do
 // not open a window themselves, such as recoveries.
 func (s *Simulator) OpenMeasurementWindow(at des.Time) {
-	s.openWindow(at)
+	s.col.OpenWindow(at)
 	s.normalizeWindow(at)
 }
 

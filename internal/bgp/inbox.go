@@ -353,10 +353,3 @@ func (q *routerBatchInbox) Reset() {
 	q.size = 0
 	q.discarded = 0
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -255,12 +255,6 @@ func (s *Simulator) Now() des.Time { return s.eng.Now() }
 // Collector exposes the metrics collector.
 func (s *Simulator) Collector() *metrics.Collector { return s.col }
 
-// openWindow opens the measurement window on the collector.
-func (s *Simulator) openWindow(at des.Time) {
-	stormProfileOpen() // storm-scoped CPU profile starts with the window
-	s.col.OpenWindow(at)
-}
-
 // normalizeWindow canonicalizes every piece of run state that could
 // carry phase-1 residue into the measurement window: the random stream
 // is reseeded from Params.Seed, and every live router expires its MRAI
@@ -287,7 +281,7 @@ func (s *Simulator) ScheduleFailure(at des.Time, nodes []int) {
 	failed := append([]int(nil), nodes...)
 	sort.Ints(failed)
 	s.eng.ScheduleAt(at, func() {
-		s.openWindow(at)
+		s.col.OpenWindow(at)
 		s.normalizeWindow(at)
 		for _, id := range failed {
 			if id >= 0 && id < len(s.routers) {
@@ -330,7 +324,7 @@ func (s *Simulator) ScheduleFailure(at des.Time, nodes []int) {
 func (s *Simulator) ScheduleLinkFailure(at des.Time, links [][2]int) {
 	cut := append([][2]int(nil), links...)
 	s.eng.ScheduleAt(at, func() {
-		s.openWindow(at)
+		s.col.OpenWindow(at)
 		s.normalizeWindow(at)
 		for _, l := range cut {
 			a, b := l[0], l[1]
@@ -597,18 +591,12 @@ const SettleMargin = 5 * time.Second
 // failure time (normalizeWindow) makes the two starts indistinguishable
 // from the measurement window onward.
 func (s *Simulator) ConvergeAndFail(nodes []int) (time.Duration, error) {
-	begin := time.Now()
 	if err := s.ConvergeInitial(); err != nil {
 		return 0, err
 	}
-	addSetupNs(begin)
 	failAt := s.Now() + SettleMargin
 	s.ScheduleFailure(failAt, nodes)
-	begin = time.Now()
-	err := s.Run()
-	addStormNs(begin)
-	stormProfileClose() // quiescence closes the storm-scoped profile
-	if err != nil {
+	if err := s.Run(); err != nil {
 		return 0, fmt.Errorf("re-convergence: %w", err)
 	}
 	return s.Collector().ConvergenceDelay(), nil

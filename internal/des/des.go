@@ -7,12 +7,12 @@
 // so ties between events scheduled for the same instant are broken by
 // insertion order, never by map iteration or heap instability.
 //
-// The event queue is a calendar (bucket) queue backed by 4-ary min-heaps
-// (see calendar.go), but that is invisible to callers: (timestamp,
-// insertion sequence) is a strict total order over queued events, so the
-// pop sequence — and therefore all simulation output — is independent of
-// the queue's internal layout. Any replacement queue must preserve
-// exactly this tie-break: timestamp first, then insertion order.
+// The event queue is a 4-ary min-heap (see heap.go), but that is
+// invisible to callers: (timestamp, insertion sequence) is a strict total
+// order over queued events, so the pop sequence — and therefore all
+// simulation output — is independent of the queue's internal layout. Any
+// replacement queue must preserve exactly this tie-break: timestamp
+// first, then insertion order.
 package des
 
 import (
@@ -63,7 +63,6 @@ var ErrCanceled = errors.New("des: run canceled")
 type Event struct {
 	at      Time
 	seq     uint64
-	index   int // heap index, -1 once popped
 	fn      Handler
 	runner  Runner
 	stopped bool
@@ -82,7 +81,7 @@ func (e *Event) Canceled() bool { return e.stopped }
 type Engine struct {
 	now       Time
 	seq       uint64
-	queue     calendarQueue
+	queue     eventHeap
 	free      []*Event // recycled Event objects (see Event)
 	processed uint64
 	maxEvents uint64
@@ -93,7 +92,7 @@ type Engine struct {
 	// every queued event: it is the engine's next event, held outside the
 	// queue. The event still receives its normal sequence stamp at alloc
 	// time — fusion reserves the seq stream, it never reorders it. See
-	// alloc for the admission condition. The constructors set fuse; tests
+	// alloc for the admission condition. NewEngine sets fuse; tests
 	// clear it to get the plain queued engine as a reference.
 	imm  *Event
 	fuse bool
@@ -109,30 +108,16 @@ const cancelStride = 1024
 // loops in model code. It is far above anything the BGP experiments need.
 const DefaultMaxEvents = 200_000_000
 
-// NewEngine returns an engine with the clock at the epoch. The event
-// queue is a calendar queue (see calendar.go); pop order is provably
-// identical to NewHeapOnlyEngine's pure heap. Fused same-time dispatch
-// is on: an event scheduled for the current instant while no
-// earlier-or-equal event is queued is held in a one-slot fast lane and
-// executed next, bypassing the queue data structure. Its (at, seq) stamp
-// — and therefore the execution order of every event — is the same as
-// on the plain queued path; fusion only removes the push/pop cost of the
-// delivery→process chains that zero-delay configurations produce.
+// NewEngine returns an engine with the clock at the epoch. Fused
+// same-time dispatch is on: an event scheduled for the current instant
+// while no earlier-or-equal event is queued is held in a one-slot fast
+// lane and executed next, bypassing the queue data structure. Its
+// (at, seq) stamp — and therefore the execution order of every event —
+// is the same as on the plain queued path; fusion only removes the
+// push/pop cost of the delivery→process chains that zero-delay
+// configurations produce.
 func NewEngine() *Engine {
-	e := &Engine{maxEvents: DefaultMaxEvents, fuse: true}
-	e.queue.init(false)
-	return e
-}
-
-// NewHeapOnlyEngine returns an engine whose event queue is the plain
-// 4-ary heap, with the calendar ring disabled. Simulation output is
-// byte-identical to NewEngine — (at, seq) is a strict total order either
-// way — so this exists purely as the comparison baseline for the
-// calendar queue's differential tests and benchmarks.
-func NewHeapOnlyEngine() *Engine {
-	e := &Engine{maxEvents: DefaultMaxEvents, fuse: true}
-	e.queue.init(true)
-	return e
+	return &Engine{maxEvents: DefaultMaxEvents, fuse: true}
 }
 
 // SetMaxEvents overrides the runaway-loop guard. A value of zero restores
@@ -172,7 +157,6 @@ func (e *Engine) Reset() {
 		ev.fn, ev.runner = nil, nil
 		e.recycle(ev)
 	}
-	e.queue.rewind()
 	e.now = 0
 	e.seq = 0
 	e.processed = 0

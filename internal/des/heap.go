@@ -36,15 +36,12 @@ func (h *eventHeap) less(i, j int) bool {
 
 func (h *eventHeap) swap(i, j int) {
 	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.items[i].index = i
-	h.items[j].index = j
 }
 
 // Push inserts an event.
 func (h *eventHeap) Push(ev *Event) {
-	ev.index = len(h.items)
 	h.items = append(h.items, ev)
-	h.up(ev.index)
+	h.up(len(h.items) - 1)
 }
 
 // Pop removes and returns the earliest event.
@@ -57,7 +54,6 @@ func (h *eventHeap) Pop() *Event {
 	if len(h.items) > 0 {
 		h.down(0)
 	}
-	ev.index = -1
 	return ev
 }
 

@@ -357,14 +357,14 @@ func Compute(net *topology.Network, cfg Config) (*Result, error) {
 		}
 	}
 	res := &Result{
-		w:      w,
-		ases:   ases,
-		asSlot: make([]int32, w.maxAS+1),
-		from:   make([]int32, len(ases)*w.n),
-		plen:   make([]int32, len(ases)*w.n),
-		cls:    make([]uint8, len(ases)*w.n),
+		w:       w,
+		ases:    ases,
+		asSlot:  make([]int32, w.maxAS+1),
+		from:    make([]int32, len(ases)*w.n),
+		plen:    make([]int32, len(ases)*w.n),
+		cls:     make([]uint8, len(ases)*w.n),
 		fromInt: make([]bool, len(ases)*w.n),
-		mask:   make([]uint64, len(ases)*w.n),
+		mask:    make([]uint64, len(ases)*w.n),
 	}
 	for i := range res.asSlot {
 		res.asSlot[i] = -1
